@@ -5,8 +5,8 @@
 // Part 1 measures the per-segment receive path length: frame arrival through
 // demux and segment processing to payload-in-ring, for the generic pipeline
 // (flow-table walk + shared checksum call + pointer-chasing segment processor
-// + one-call-per-byte ring put) vs the synthesized chain (folded port switch
-// + inlined checksum + per-connection processor with the peer port as an
+// + one-call-per-byte ring put) vs the synthesized path (cell-table port
+// lookup + inlined checksum + per-connection processor with the peer port as an
 // immediate, CCB fields as absolute addresses, and a bulk ring copy that
 // publishes the producer index once). Identical frames, identical
 // connection state; the difference is path length alone.

@@ -6,8 +6,8 @@
 // steering + demux walk before being found worthless, so useful throughput
 // collapses just when it matters most. The pool's admission armor is the
 // Synthesis answer: past a queue-depth watermark the outer demux cells swap
-// to a *synthesized early-drop filter* — a compare chain of the ports bound
-// right now, folded to immediates. A junk frame dies in a handful of
+// to a *synthesized early-drop filter* — a bit test in the bound-port bitmap,
+// with the shed level folded into the code. A junk frame dies in a handful of
 // instructions, before checksum, ring append, or wakeup work; known flows
 // fall through to the normal path. Draining below the low watermark swaps
 // full steering back (hysteresis).
@@ -114,7 +114,7 @@ void RunDropCost(double* shed_out, double* generic_out) {
   PrintRow("generic steering + generic demux", generic, generic, "instr");
   PrintRow("synthesized steering + demux", generic, synth, "instr");
   PrintRow("synthesized shed filter", generic, shed, "instr");
-  PrintNote("the filter is the bound-port set compiled to a compare chain:");
+  PrintNote("the filter is one bit test in the bound-port bitmap:");
   PrintNote("an unknown dst dies before checksum, ring, or wakeup work.");
   *shed_out = shed;
   *generic_out = generic;

@@ -288,6 +288,12 @@ void Kernel::ReapDoneThread(ThreadId tid) {
   }
   t.set_state(ThreadState::kDone);
   sched_.RemoveThread(tid);
+  // The thread's synthesized code goes with it. Retirement is deferred, so a
+  // thread reaped from inside its own step is never freed under an executor.
+  RetireBlock(t.sw_out());
+  RetireBlock(t.sw_in());
+  RetireBlock(t.sw_in_mmu());
+  RetireBlock(t.GetVector(Vector::kErrorTrap));
   alloc_.Free(r->tte);
   tte_to_tid_.erase(r->tte);
   pending_signals_.erase(tid);

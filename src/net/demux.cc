@@ -1,10 +1,10 @@
 #include "src/net/demux.h"
 
 #include <cassert>
+#include <cstring>
 #include <string>
 
 #include "src/io/channel.h"
-#include "src/io/switchboard.h"
 #include "src/machine/assembler.h"
 
 namespace synthesis {
@@ -207,15 +207,56 @@ CodeTemplate GenericDemuxTemplate() {
   return a.Build();
 }
 
+// The synthesized demux: one lookup through the two-level cell table, then
+// a tail-jump through the cell into the flow's own deliver block, whose rts
+// returns straight to the demux's caller. a1 = frame base. Root words hold
+// leaf addresses in word units (leaves are 8-byte aligned), so the leaf index
+// is one scaled load; root words of absent leaves point at the shared empty
+// leaf, so only the cell itself is tested. Clobbers d0, d1, d7.
+CodeTemplate TableDemuxTemplate() {
+  Asm a("net_demux_syn");
+  a.Load32(kD0, kA1, FrameLayout::kDstPort);
+  a.CmpI(kD0, 0xFFFF);
+  a.Bhi("nomatch");  // hostile dst words past the port space
+  a.Move(kD1, kD0);
+  a.LsrI(kD1, 8);
+  a.LoadIdx32(kD1, kD1, Asm::Sym("root"));  // leaf base / 4
+  a.AndI(kD0, 255);
+  a.Add(kD1, kD0);
+  a.LoadIdx32(kD7, kD1, 0);  // the cell: the flow's deliver block, 0 = unbound
+  a.Tst(kD7);
+  a.Beq("nomatch");
+  a.JmpInd(kD7);
+  a.Label("nomatch");
+  a.MoveI(kD0, -2);
+  a.Rts();
+  return a.Build();
+}
+
+// Host-modelled table maintenance, identical for every flow count: an entry
+// append or a swap-with-last removal (six words plus the count) and one cell
+// store.
+constexpr uint32_t kTableEditCycles = 40;
+constexpr uint32_t kCellStoreCycles = 8;
+
 }  // namespace
 
 DemuxSynthesizer::DemuxSynthesizer(Kernel& kernel) : kernel_(kernel) {
-  ftab_ = kernel_.allocator().Allocate(4 + kMaxFlows * kEntBytes);
-  ctrs_ = kernel_.allocator().Allocate(kCtrBytes);
+  KernelAllocator& alloc = kernel_.allocator();
+  ftab_ = alloc.Allocate(4 + kMaxFlows * kEntBytes);
+  ctrs_ = alloc.Allocate(kCtrBytes);
+  root_ = alloc.Allocate(kRootWords * 4);
+  empty_leaf_ = alloc.Allocate(kLeafCells * 4);
+  assert(ftab_ != 0 && ctrs_ != 0 && root_ != 0 && empty_leaf_ != 0 &&
+         "kernel memory exhausted bringing up a demux");
   Memory& mem = kernel_.machine().memory();
   mem.Write32(ftab_, 0);
   for (uint32_t off = 0; off < kCtrBytes; off += 4) {
     mem.Write32(ctrs_ + off, 0);
+  }
+  std::memset(mem.raw(empty_leaf_), 0, kLeafCells * 4);
+  for (uint32_t i = 0; i < kRootWords; i++) {
+    mem.Write32(root_ + 4 * i, empty_leaf_ / 4);
   }
 
   // The generic path is installed verbatim: it IS the unspecialized layered
@@ -239,134 +280,196 @@ DemuxSynthesizer::DemuxSynthesizer(Kernel& kernel) : kernel_(kernel) {
   generic_ = kernel_.SynthesizeInstall(GenericDemuxTemplate(), gd, nullptr,
                                        "net_demux_gen", nullptr, &verbatim);
 
-  // The compare chain lives behind a Specializer handle: flow changes re-fold
-  // it (Reemit), a refused install falls back to the generic walk, and the
-  // byte-cap sweep may demote it — the generic interprets the flow table, so
-  // it is always current.
+  // The lookup block sits behind a Specializer handle whose fallback is the
+  // generic walk: a refused install serves every frame through the walk
+  // (slower, never wrong, since both read tables the flow operations keep
+  // current). It is emitted here and never again — flow churn rewrites
+  // cells, not code — so it is neither adaptive nor an eviction victim.
   SpecDesc sd;
-  sd.name = "net_demux@" + std::to_string(ftab_);
+  sd.name = "net_demux@" + std::to_string(root_);
   sd.generic = generic_;
-  sd.adaptive = false;  // rebuilt on flow churn, not on heat
-  sd.emit = [this](SpecTier) { return BuildChain(); };
-  sd.install = [this](BlockId blk, SpecTier tier, bool refused) {
-    InstallChain(blk, tier, refused);
-  };
-  chain_spec_ = kernel_.spec().Register(std::move(sd));
-  synthesized_ = kernel_.spec().ActiveOf(chain_spec_);
-}
-
-DemuxSynthesizer::~DemuxSynthesizer() { kernel_.spec().Retire(chain_spec_); }
-
-const DemuxSynthesizer::Flow* DemuxSynthesizer::Find(uint16_t port) const {
-  for (const Flow& f : flows_) {
-    if (f.port == port) {
-      return &f;
+  sd.adaptive = false;
+  sd.evictable = false;
+  sd.emit = [this](SpecTier) { return BuildTableDemux(); };
+  sd.install = [this](BlockId blk, SpecTier, bool) {
+    synthesized_ = blk;
+    if (swap_hook_) {
+      swap_hook_();
     }
-  }
-  return nullptr;
+  };
+  spec_ = kernel_.spec().Register(std::move(sd));
+  synthesized_ = kernel_.spec().ActiveOf(spec_);
 }
 
-bool DemuxSynthesizer::HasFlow(uint16_t port) const { return Find(port) != nullptr; }
+DemuxSynthesizer::~DemuxSynthesizer() { kernel_.spec().Retire(spec_); }
 
-bool DemuxSynthesizer::AddFlow(uint16_t port, Addr ring_base, uint32_t fixed_len) {
-  if (flows_.size() >= kMaxFlows || Find(port) != nullptr ||
-      fixed_len > FrameLayout::kMaxPayload) {
+BlockId DemuxSynthesizer::BuildTableDemux() {
+  Bindings b;
+  b.Set("root", static_cast<int32_t>(root_));
+  SynthesisOptions opts = kernel_.config().synthesis;
+  opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
+  return kernel_.SynthesizeInstall(TableDemuxTemplate(), b, nullptr,
+                                   "net_demux_syn@" + std::to_string(root_),
+                                   nullptr, &opts);
+}
+
+Addr DemuxSynthesizer::LeafOf(uint16_t port) const {
+  return 4 * kernel_.machine().memory().Read32(root_ + 4 * (port >> 8));
+}
+
+Addr DemuxSynthesizer::CellAddr(uint16_t port) const {
+  return LeafOf(port) + 4 * (port & 255u);
+}
+
+bool DemuxSynthesizer::EnsureLeaf(uint16_t port) {
+  if (LeafOf(port) != empty_leaf_) {
+    return true;
+  }
+  const Addr leaf = kernel_.allocator().Allocate(kLeafCells * 4);
+  if (leaf == 0) {
     return false;
   }
+  Memory& mem = kernel_.machine().memory();
+  std::memset(mem.raw(leaf), 0, kLeafCells * 4);
+  mem.Write32(root_ + 4 * (port >> 8), leaf / 4);
+  kernel_.machine().Charge(2 * kLeafCells, 0, kLeafCells + 1);  // zero fill
+  return true;
+}
+
+void DemuxSynthesizer::ReleaseLeafIfEmpty(uint16_t port) {
+  const Addr leaf = LeafOf(port);
+  if (leaf_live_[port >> 8] != 0 || leaf == empty_leaf_) {
+    return;
+  }
+  kernel_.machine().memory().Write32(root_ + 4 * (port >> 8), empty_leaf_ / 4);
+  kernel_.allocator().Free(leaf);
+}
+
+bool DemuxSynthesizer::Reserve(uint16_t port, Flow* f) {
+  if (flows_.size() >= kMaxFlows || HasFlow(port) || !EnsureLeaf(port)) {
+    return false;
+  }
+  f->port = port;
+  f->ctr = kernel_.allocator().Allocate(4);
+  if (f->ctr == 0) {
+    ReleaseLeafIfEmpty(port);  // allocator exhausted (or injected)
+    return false;
+  }
+  kernel_.machine().memory().Write32(f->ctr, 0);
+  return true;
+}
+
+void DemuxSynthesizer::Unreserve(const Flow& f) {
+  kernel_.allocator().Free(f.ctr);
+  ReleaseLeafIfEmpty(f.port);
+}
+
+void DemuxSynthesizer::Commit(const Flow& f) {
+  const uint32_t i = static_cast<uint32_t>(flows_.size());
+  flows_.push_back(f);
+  index_[f.port] = i;
+  WriteEntry(i);
+  // Publish the entry before the count, and the cell last: each table is
+  // consistent at every step.
+  Memory& mem = kernel_.machine().memory();
+  mem.Write32(ftab_, i + 1);
+  mem.Write32(CellAddr(f.port), static_cast<uint32_t>(f.deliver));
+  leaf_live_[f.port >> 8]++;
+  kernel_.machine().Charge(kTableEditCycles, 4, 8);
+}
+
+void DemuxSynthesizer::WriteEntry(uint32_t i) {
+  Memory& mem = kernel_.machine().memory();
+  const Flow& f = flows_[i];
+  const Addr e = ftab_ + 4 + i * kEntBytes;
+  mem.Write32(e + kEntPort, f.port);
+  mem.Write32(e + kEntRing, f.ring);
+  mem.Write32(e + kEntCtr, f.ctr);
+  mem.Write32(e + kEntFixed, f.fixed_len);
+  mem.Write32(e + kEntHandler, f.handler);
+  mem.Write32(e + FlowEntryLayout::kCtx, f.ctx);
+}
+
+bool DemuxSynthesizer::AddFlow(uint16_t port, Addr ring_base, uint32_t fixed_len) {
   Flow f;
-  f.port = port;
+  if (fixed_len > FrameLayout::kMaxPayload || !Reserve(port, &f)) {
+    return false;
+  }
   f.ring = ring_base;
   f.fixed_len = fixed_len;
-  f.ctr = kernel_.allocator().Allocate(4);
-  if (f.ctr == 0) {
-    return false;  // allocator exhausted (or injected): nothing to roll back
-  }
-  kernel_.machine().memory().Write32(f.ctr, 0);
   f.handler = deliver_gen_;
   f.deliver = SynthesizeDeliver(f);
   if (f.deliver == kInvalidBlock) {
-    kernel_.allocator().Free(f.ctr);  // code-store pressure: undo and refuse
+    Unreserve(f);  // code-store pressure: undo and refuse
     return false;
   }
   f.owns_deliver = true;
-  flows_.push_back(f);
-  RebuildGenericTable();
-  RebuildSynthesized();
+  Commit(f);
   return true;
 }
 
 bool DemuxSynthesizer::AddFlowCustom(uint16_t port, Addr ring_base, Addr ctx,
                                      BlockId synth_deliver,
                                      BlockId generic_deliver) {
-  if (flows_.size() >= kMaxFlows || Find(port) != nullptr) {
-    return false;
-  }
   Flow f;
-  f.port = port;
-  f.ring = ring_base;
-  f.ctx = ctx;
-  f.ctr = kernel_.allocator().Allocate(4);
-  if (f.ctr == 0) {
+  if (!Reserve(port, &f)) {
     return false;  // surfaced to the caller; its deliver blocks stay its own
   }
-  kernel_.machine().memory().Write32(f.ctr, 0);
+  f.ring = ring_base;
+  f.ctx = ctx;
   f.handler = generic_deliver;
   f.deliver = synth_deliver;
-  flows_.push_back(f);
-  RebuildGenericTable();
-  RebuildSynthesized();
+  Commit(f);
   return true;
 }
 
 bool DemuxSynthesizer::SetFlowDeliver(uint16_t port, BlockId synth_deliver) {
-  for (Flow& f : flows_) {
-    if (f.port == port) {
-      f.deliver = synth_deliver;
-      RebuildSynthesized();
-      return true;
-    }
+  auto it = index_.find(port);
+  if (it == index_.end() || flows_[it->second].owns_deliver) {
+    return false;  // unbound, or a datagram flow whose deliver the demux owns
   }
-  return false;
+  flows_[it->second].deliver = synth_deliver;
+  kernel_.machine().memory().Write32(CellAddr(port),
+                                     static_cast<uint32_t>(synth_deliver));
+  kernel_.machine().Charge(kCellStoreCycles, 1, 1);
+  return true;
 }
 
 bool DemuxSynthesizer::RemoveFlow(uint16_t port) {
-  for (size_t i = 0; i < flows_.size(); i++) {
-    if (flows_[i].port == port) {
-      kernel_.allocator().Free(flows_[i].ctr);
-      if (flows_[i].owns_deliver) {
-        kernel_.RetireBlock(flows_[i].deliver);
-      }
-      flows_.erase(flows_.begin() + static_cast<long>(i));
-      RebuildGenericTable();
-      RebuildSynthesized();
-      return true;
-    }
+  auto it = index_.find(port);
+  if (it == index_.end()) {
+    return false;
   }
-  return false;
-}
-
-void DemuxSynthesizer::RebuildGenericTable() {
+  const uint32_t i = it->second;
+  index_.erase(it);
   Memory& mem = kernel_.machine().memory();
-  mem.Write32(ftab_, static_cast<uint32_t>(flows_.size()));
-  for (size_t i = 0; i < flows_.size(); i++) {
-    Addr e = ftab_ + 4 + static_cast<uint32_t>(i) * kEntBytes;
-    mem.Write32(e + kEntPort, flows_[i].port);
-    mem.Write32(e + kEntRing, flows_[i].ring);
-    mem.Write32(e + kEntCtr, flows_[i].ctr);
-    mem.Write32(e + kEntFixed, flows_[i].fixed_len);
-    mem.Write32(e + kEntHandler, flows_[i].handler);
-    mem.Write32(e + FlowEntryLayout::kCtx, flows_[i].ctx);
+  // Clear the cell first, so the synthesized path stops matching before the
+  // generic table changes under it.
+  mem.Write32(CellAddr(port), 0);
+  leaf_live_[port >> 8]--;
+  const Flow gone = flows_[i];
+  // Swap-with-last removal keeps the generic table dense in O(1).
+  const uint32_t last = static_cast<uint32_t>(flows_.size()) - 1;
+  if (i != last) {
+    flows_[i] = flows_[last];
+    index_[flows_[i].port] = i;
+    WriteEntry(i);
   }
-  // Table maintenance: a handful of stores per flow.
-  kernel_.machine().Charge(20 + 16 * static_cast<uint32_t>(flows_.size()), 4,
-                           4 * static_cast<uint32_t>(flows_.size()));
+  flows_.pop_back();
+  mem.Write32(ftab_, last);
+  kernel_.machine().Charge(kTableEditCycles, 4, 8);
+  ReleaseLeafIfEmpty(port);
+  kernel_.allocator().Free(gone.ctr);
+  if (gone.owns_deliver) {
+    kernel_.RetireBlock(gone.deliver);
+  }
+  return true;
 }
 
 BlockId DemuxSynthesizer::SynthesizeDeliver(const Flow& f) const {
   Memory& mem = kernel_.machine().memory();
   uint32_t mask = mem.Read32(f.ring + RingLayout::kMask);
-  const std::string name =
-      "net_deliver$" + std::to_string(f.port) + "#" + std::to_string(rebuilds_);
+  const std::string name = "net_deliver$" + std::to_string(f.port);
   const bool unrolled = f.fixed_len > 0 && f.fixed_len <= kUnrollLimit;
 
   Asm a(name);
@@ -534,54 +637,6 @@ BlockId DemuxSynthesizer::SynthesizeDeliver(const Flow& f) const {
   return kernel_.SynthesizeInstall(a.Build(), b, nullptr, name, nullptr, &opts);
 }
 
-void DemuxSynthesizer::RebuildSynthesized() {
-  // The unified re-specialization entry point: the Specializer calls
-  // BuildChain, retires the displaced block, and falls back to the generic
-  // walk when the install is refused (InstallChain mirrors the outcome). A
-  // chain the byte-cap sweep demoted stays generic — the table rebuild
-  // already covered the flow change.
-  kernel_.spec().Reemit(chain_spec_);
-}
-
-BlockId DemuxSynthesizer::BuildChain() {
-  rebuilds_++;
-  const std::string name = "net_demux_syn#" + std::to_string(rebuilds_);
-  Switchboard sb;
-  for (const Flow& f : flows_) {
-    sb.AddCase(f.port, f.deliver);
-  }
-  CodeTemplate chain = sb.BuildTemplate(name);
-  // Prepend the selector load (the destination port) and retarget the chain's
-  // absolute branch indices, as Switchboard::Synthesize does.
-  Asm pre(name);
-  pre.Load32(kD0, kA1, FrameLayout::kDstPort);
-  CodeTemplate t = pre.Build();
-  t.block.code.insert(t.block.code.end(), chain.block.code.begin(),
-                      chain.block.code.end());
-  for (Instr& in : t.block.code) {
-    if (IsBranch(in.op)) {
-      in.imm += 1;
-    }
-  }
-  SynthesisOptions opts = kernel_.config().synthesis;
-  opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
-  return kernel_.SynthesizeInstall(t, Bindings(), nullptr, name, &last_stats_,
-                                   &opts);
-}
-
-void DemuxSynthesizer::InstallChain(BlockId blk, SpecTier tier, bool refused) {
-  (void)tier;
-  (void)refused;
-  // On refusal the Specializer already fell back to the generic routine: it
-  // interprets the flow table from memory, so it is always current — slower,
-  // never wrong. Displaced blocks retire deferred, after the hook below has
-  // repointed every demux cell.
-  synthesized_ = blk;
-  if (swap_hook_) {
-    swap_hook_();
-  }
-}
-
 uint64_t DemuxSynthesizer::csum_rejects() const {
   return kernel_.machine().memory().Read32(ctrs_ + kCtrCsum);
 }
@@ -595,8 +650,10 @@ uint64_t DemuxSynthesizer::delivered_total() const {
   return kernel_.machine().memory().Read32(ctrs_ + kCtrTotal);
 }
 uint64_t DemuxSynthesizer::delivered(uint16_t port) const {
-  const Flow* f = Find(port);
-  return f == nullptr ? 0 : kernel_.machine().memory().Read32(f->ctr);
+  auto it = index_.find(port);
+  return it == index_.end()
+             ? 0
+             : kernel_.machine().memory().Read32(flows_[it->second].ctr);
 }
 
 Addr DemuxSynthesizer::ctr_malformed_addr() const {

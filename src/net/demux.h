@@ -8,17 +8,27 @@
 //  * The GENERIC demux is the traditional layered path: it walks a flow table
 //    in memory, calls a shared checksum routine, and delivers through a
 //    general single-byte ring put — one procedure call per byte, the general
-//    Q_put of Figure 1. This is the measured baseline.
+//    Q_put of Figure 1. This is the measured baseline, the differential
+//    oracle, and the fallback when the synthesized demux is refused.
 //
-//  * The SYNTHESIZED demux is re-emitted by the DemuxSynthesizer whenever a
-//    flow opens or closes, applying the paper's three methods: the flow
-//    table is compiled into a compare-with-immediate chain ending in direct
-//    jumps (the Switchboard building block — the demux table IS code you
-//    jump through), per-flow ring constants are folded into a bulk insert
-//    that publishes the producer index once (Factoring Invariants), and the
-//    checksum and delivery bodies are inlined into the chain (Collapsing
-//    Layers). Flows declaring a fixed datagram size get their checksum and
-//    copy loops unrolled with the length folded to an immediate.
+//  * The SYNTHESIZED demux is an Executable Data Structure (§2.2), the same
+//    trick as the Figure 3 ready queue: a two-level, port-indexed CELL TABLE
+//    in simulated memory whose words are the BlockIds of per-flow deliver
+//    blocks. The demux block itself is emitted once per NIC and never again:
+//    it range-checks the destination port, indexes the 256-word root by the
+//    port's high byte and the 256-cell leaf by its low byte, returns -2 on a
+//    zero cell, and otherwise jumps through the cell (a tail call: the
+//    deliver block returns to the demux's caller). Binding, rebinding or
+//    unbinding a flow is one cell store — no synthesis. Leaves are allocated
+//    on the first bind that lands in them and freed when their last cell
+//    clears; root words of absent leaves point at one shared all-zero leaf,
+//    so the lookup never tests the root.
+//
+//    Each per-flow deliver block applies the paper's methods on its own:
+//    ring constants folded into a bulk insert that publishes the producer
+//    index once (Factoring Invariants), the checksum inlined (Collapsing
+//    Layers), and fixed-size datagram flows' checksum and copy loops unrolled
+//    with the length folded to an immediate.
 //
 // Demux contract (both routines): a1 = frame base. Returns d0 = 1 delivered,
 // 0 rejected (checksum / malformed length / ring full; counters in simulated
@@ -27,8 +37,10 @@
 #ifndef SRC_NET_DEMUX_H_
 #define SRC_NET_DEMUX_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <unordered_map>
 #include <vector>
 
 #include "src/kernel/kernel.h"
@@ -59,6 +71,10 @@ class DemuxSynthesizer {
   // Fixed-size flows up to this many payload bytes get fully unrolled
   // checksum and copy code.
   static constexpr uint32_t kUnrollLimit = 64;
+  // Cell-table geometry: the root has one word per high port byte, each leaf
+  // one cell per low port byte.
+  static constexpr uint32_t kRootWords = 256;
+  static constexpr uint32_t kLeafCells = 256;
 
   explicit DemuxSynthesizer(Kernel& kernel);
   ~DemuxSynthesizer();
@@ -66,21 +82,24 @@ class DemuxSynthesizer {
   // Opens a flow for `port` delivering into the ring at `ring_base`
   // (a RingLayout ring). `fixed_len` > 0 declares every datagram of the flow
   // to be exactly that many payload bytes — an invariant the synthesizer
-  // folds. Returns false when the port is taken or the table is full.
+  // folds into the flow's deliver block. Returns false, with nothing
+  // changed, when the port is taken, the table is full, or memory or the
+  // code store refuses.
   bool AddFlow(uint16_t port, Addr ring_base, uint32_t fixed_len = 0);
-  // Opens a flow whose per-packet processing is caller-supplied: the
-  // synthesized chain jumps to `synth_deliver` (a per-flow specialized block,
-  // a1 = frame) and the generic walk calls `generic_deliver` (a shared
-  // interpreted block, a1 = frame, a2 = flow entry, a4 = ring, d5 = validated
-  // length) with `ctx` available in the entry. The stream layer uses this to
-  // install its per-connection segment processors.
+  // Opens a flow whose per-packet processing is caller-supplied: the cell
+  // points at `synth_deliver` (a per-flow specialized block, a1 = frame) and
+  // the generic walk calls `generic_deliver` (a shared interpreted block,
+  // a1 = frame, a2 = flow entry, a4 = ring, d5 = validated length) with `ctx`
+  // available in the entry. The stream layer uses this to install its
+  // per-connection segment processors. Emits no code.
   bool AddFlowCustom(uint16_t port, Addr ring_base, Addr ctx,
                      BlockId synth_deliver, BlockId generic_deliver);
   // Swaps a custom flow's synthesized deliver (connection state changed —
-  // e.g. establishment folds the now-known peer) and re-emits the demux.
+  // e.g. establishment folds the now-known peer): one cell store. False for
+  // unbound ports and for datagram flows, whose deliver the demux owns.
   bool SetFlowDeliver(uint16_t port, BlockId synth_deliver);
   bool RemoveFlow(uint16_t port);
-  bool HasFlow(uint16_t port) const;
+  bool HasFlow(uint16_t port) const { return index_.count(port) != 0; }
   size_t flow_count() const { return flows_.size(); }
 
   // Building blocks and counter addresses custom deliver routines share with
@@ -90,17 +109,14 @@ class DemuxSynthesizer {
   Addr ctr_malformed_addr() const;
   Addr ctr_csum_addr() const;
 
-  // The two interchangeable demux routines (rebuilt on every flow change).
+  // The two interchangeable demux routines. Both are installed once; flow
+  // changes only rewrite the tables they read.
   BlockId generic_demux() const { return generic_; }
   BlockId synthesized_demux() const { return synthesized_; }
 
-  // The chain's specialization handle (registered with the kernel's
-  // Specializer; flow changes re-fold through it, and byte-cap pressure may
-  // demote the chain to the generic walk).
-  SpecId chain_spec() const { return chain_spec_; }
-  // Invoked whenever the active chain block changes hands (re-emission,
-  // refusal fallback, pressure demotion), so the owning device can repoint
-  // its demux cell. The hook must be cheap and idempotent.
+  // Invoked when the synthesized demux changes hands (a refused install
+  // falling back to the generic walk), so the owning device can repoint its
+  // demux cell. The hook must be cheap and idempotent.
   void SetSwapHook(std::function<void()> hook) { swap_hook_ = std::move(hook); }
 
   // Counters, bumped by the demux micro-code in simulated memory.
@@ -110,9 +126,6 @@ class DemuxSynthesizer {
   uint64_t delivered_total() const;
   uint64_t delivered(uint16_t port) const;
   void ResetCounters();
-
-  // Stats of the last synthesized-demux rebuild.
-  const SynthesisStats& last_stats() const { return last_stats_; }
 
  private:
   struct Flow {
@@ -126,26 +139,37 @@ class DemuxSynthesizer {
     bool owns_deliver = false;  // demux-emitted (AddFlow) vs caller-owned
   };
 
-  const Flow* Find(uint16_t port) const;
-  void RebuildGenericTable();
-  void RebuildSynthesized();  // routes through Specializer::Reemit
-  BlockId BuildChain();       // emit callback: one fresh compare chain
-  void InstallChain(BlockId blk, SpecTier tier, bool refused);
+  // Shared front half of AddFlow/AddFlowCustom: capacity and duplicate
+  // checks, the leaf the port's cell lives in, and the counter word. Returns
+  // false with nothing acquired.
+  bool Reserve(uint16_t port, Flow* f);
+  // Undoes a successful Reserve whose flow was never committed.
+  void Unreserve(const Flow& f);
+  // Appends the flow to the generic table and stores its cell.
+  void Commit(const Flow& f);
+  void WriteEntry(uint32_t i);
+  Addr LeafOf(uint16_t port) const;
+  Addr CellAddr(uint16_t port) const;
+  bool EnsureLeaf(uint16_t port);
+  void ReleaseLeafIfEmpty(uint16_t port);
+  BlockId BuildTableDemux();  // emit callback: the install-once lookup block
   BlockId SynthesizeDeliver(const Flow& f) const;
 
   Kernel& kernel_;
   Addr ftab_ = 0;  // count word + kMaxFlows entries of FlowEntryLayout::kBytes
   Addr ctrs_ = 0;  // csum_rejects / malformed / ring_drops / delivered_total
+  Addr root_ = 0;        // kRootWords leaf addresses, in words (address / 4)
+  Addr empty_leaf_ = 0;  // all-zero leaf every absent root word points at
+  std::array<uint16_t, kRootWords> leaf_live_{};  // live cells per leaf
   BlockId csum_ = kInvalidBlock;        // shared checksum verify routine
   BlockId put1_ = kInvalidBlock;        // generic one-byte ring put
   BlockId deliver_gen_ = kInvalidBlock; // generic layered delivery
   BlockId generic_ = kInvalidBlock;
   BlockId synthesized_ = kInvalidBlock;
-  SpecId chain_spec_ = kBadSpec;
+  SpecId spec_ = kBadSpec;  // the lookup block's handle (generic = the walk)
   std::function<void()> swap_hook_;
-  std::vector<Flow> flows_;
-  SynthesisStats last_stats_;
-  uint32_t rebuilds_ = 0;  // uniquifies block names across re-synthesis
+  std::vector<Flow> flows_;  // flows_[i] is generic-table entry i
+  std::unordered_map<uint16_t, uint32_t> index_;  // port -> position in flows_
 };
 
 }  // namespace synthesis

@@ -60,9 +60,9 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     ctor_mem.Write32(tx_batch_desc_ + 0, tx_due_base_);
     ctor_mem.Write32(tx_batch_desc_ + 4, tx_base_);
   }
-  // Any hands-off swap of the demux chain (refusal fallback, byte-cap
-  // demotion from the adaptation sweep) must repoint this device's cells
-  // before the displaced block drains.
+  // A hands-off swap of the demux (refusal fallback to the generic walk)
+  // must repoint this device's cells before the displaced block drains. Flow
+  // binds never swap it: they rewrite the demux's cell table instead.
   demux_.SetSwapHook([this] { RefreshDemuxCell(); });
   RefreshDemuxCell();
 
@@ -391,7 +391,7 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
 
 NicDevice::~NicDevice() {
   // The emit/install callbacks capture `this`; the handles must not outlive
-  // the device. (The demux retires its own chain handle.)
+  // the device. (The demux retires its own lookup handle.)
   kernel_.spec().Retire(rx_batch_spec_);
   kernel_.spec().Retire(tx_batch_spec_);
 }
@@ -474,7 +474,7 @@ void NicDevice::RefreshDemuxCell() {
                                         : demux_.generic_demux();
   Memory& mem = kernel_.machine().memory();
   // The inner cell always tracks the device's own demux, so a steering stage
-  // in front survives flow re-synthesis without being re-emitted.
+  // in front survives a demux swap without being re-emitted.
   mem.Write32(inner_cell_, static_cast<uint32_t>(d));
   BlockId outer = demux_override_ != kInvalidBlock ? demux_override_ : d;
   mem.Write32(demux_cell_, static_cast<uint32_t>(outer));
@@ -535,16 +535,11 @@ bool NicDevice::BindFlow(const FlowSpec& spec) {
   if (!spec.batch) {
     nobatch_ports_.insert(spec.port);
   }
-  RefreshDemuxCell();
   return true;
 }
 
 bool NicDevice::RebindFlow(uint16_t port, BlockId synth_deliver) {
-  if (!demux_.SetFlowDeliver(port, synth_deliver)) {
-    return false;
-  }
-  RefreshDemuxCell();
-  return true;
+  return demux_.SetFlowDeliver(port, synth_deliver);
 }
 
 bool NicDevice::UnbindFlow(uint16_t port) {
@@ -554,7 +549,6 @@ bool NicDevice::UnbindFlow(uint16_t port) {
   rings_.erase(port);
   hooks_.erase(port);
   nobatch_ports_.erase(port);
-  RefreshDemuxCell();
   return true;
 }
 

@@ -6,8 +6,10 @@
 // complete interrupt; the wire then loops the frame back into an RX slot and
 // schedules a receive interrupt. The RX interrupt entry jumps through the
 // *demux cell*, a memory word holding the BlockId of the current demux routine
-// (an executable data structure: re-binding a flow re-synthesizes the demux
-// and stores the new entry point — the interrupt path never tests a flag).
+// (an executable data structure: switching the generic and synthesized demux
+// is one store — the interrupt path never tests a flag). The synthesized
+// demux is itself a port-indexed cell table (demux.h), so binding a flow
+// rewrites a table cell and leaves the demux cell alone.
 //
 // Fault injection models a lossy segment: each transmitted frame may be
 // dropped, corrupted (one byte flipped), reordered (held on the wire for
@@ -129,8 +131,8 @@ class NicDevice {
   // synthesizer folds (and enforces). A spec must carry both deliver blocks
   // or neither.
   bool BindFlow(const FlowSpec& spec);
-  // Re-synthesizes a custom flow's specialized deliver (e.g. a connection
-  // left LISTEN and the peer is now a foldable invariant).
+  // Swaps a custom flow's specialized deliver (e.g. a connection left LISTEN
+  // and the peer is now a foldable invariant): one demux cell store.
   bool RebindFlow(uint16_t port, BlockId synth_deliver);
   bool UnbindFlow(uint16_t port);
 
@@ -178,7 +180,7 @@ class NicDevice {
   // Interposes `steer` between the RX entry and this device's demux: the RX
   // entry's outer cell is rewritten to `steer`, while the device's real demux
   // id keeps flowing into the *inner* cell (an executable data structure the
-  // steering block jumps through — flow re-synthesis never needs the pool).
+  // steering block jumps through — a demux swap never needs the pool).
   // kInvalidBlock removes the override.
   void SetDemuxOverride(BlockId steer);
   // Address of the 4-byte word that always holds this device's current demux

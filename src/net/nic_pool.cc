@@ -1,5 +1,6 @@
 #include "src/net/nic_pool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -194,35 +195,24 @@ uint32_t NicPool::PinSteerOf(uint16_t port, uint16_t peer) const {
   return h % static_cast<uint32_t>(nics_.size());
 }
 
+const NicPool::Binding* NicPool::BindingOf(uint16_t port) const {
+  auto it = bindings_.find(port);
+  return it == bindings_.end() ? nullptr : &it->second;
+}
+
 uint32_t NicPool::OwnerOf(uint16_t port) const {
-  for (const auto& [p, b] : bindings_) {
-    if (p == port) {
-      return b.owner;
-    }
-  }
-  return SteerOf(port);
+  const Binding* b = BindingOf(port);
+  return b != nullptr ? b->owner : SteerOf(port);
 }
 
 uint32_t NicPool::RouteOf(uint16_t dst_port, uint16_t src_port) const {
   // Host twin of the emitted routing: the pin stage matches (dst, src)
   // exactly; anything else falls through to the dst hash.
-  for (const auto& [p, b] : bindings_) {
-    if (p == dst_port) {
-      if (!b.pinned || b.spec.pin_peer == src_port) {
-        return b.owner;
-      }
-      break;
-    }
+  const Binding* b = BindingOf(dst_port);
+  if (b != nullptr && (!b->pinned || b->spec.pin_peer == src_port)) {
+    return b->owner;
   }
   return SteerOf(dst_port);
-}
-
-uint32_t NicPool::pinned_count() const {
-  uint32_t n = 0;
-  for (const auto& [p, b] : bindings_) {
-    n += b.pinned ? 1 : 0;
-  }
-  return n;
 }
 
 void NicPool::WriteDescriptor() {
@@ -232,17 +222,14 @@ void NicPool::WriteDescriptor() {
     mem.Write32(desc_ + 4 + 4 * i,
                 i < size() ? nics_[i]->inner_cell_addr() : 0);
   }
-  uint32_t pins = 0;
-  for (const auto& [port, b] : bindings_) {
-    if (!b.pinned || pins >= kMaxPins) {
-      continue;
-    }
-    Addr e = desc_ + kPinBaseOff + pins * kPinEntryBytes;
-    mem.Write32(e + 0, port);
+  const uint32_t pins = pinned_count();
+  for (uint32_t i = 0; i < pins; i++) {
+    const Binding& b = bindings_.at(pins_[i]);
+    Addr e = desc_ + kPinBaseOff + i * kPinEntryBytes;
+    mem.Write32(e + 0, pins_[i]);
     mem.Write32(e + 4, b.spec.pin_peer);
     mem.Write32(e + 8, nics_[b.owner]->inner_cell_addr());
     mem.Write32(e + 12, 0);
-    pins++;
   }
   mem.Write32(desc_ + kPinCountOff, pins);
   kernel_.machine().Charge(8 + 4 * (kMaxNics + 4 * pins), 2,
@@ -278,17 +265,13 @@ BlockId NicPool::BuildSteering() {
   // Pin stage: each pinned connection folds to two immediate compares and a
   // direct jump through the owner's inner cell (Factoring Invariants — the
   // pin table IS the code).
-  uint32_t pin_idx = 0;
-  bool loaded_src = false;
-  for (const auto& [port, b] : bindings_) {
-    if (!b.pinned || pin_idx >= kMaxPins) {
-      continue;
-    }
-    if (!loaded_src) {
-      a.Load32(kD1, kA1, FrameLayout::kSrcPort);
-      loaded_src = true;
-    }
-    const std::string next = "p" + std::to_string(pin_idx++);
+  if (!pins_.empty()) {
+    a.Load32(kD1, kA1, FrameLayout::kSrcPort);
+  }
+  for (uint32_t i = 0; i < pinned_count(); i++) {
+    const uint16_t port = pins_[i];
+    const Binding& b = bindings_.at(port);
+    const std::string next = "p" + std::to_string(i);
     a.CmpI(kD0, static_cast<int32_t>(port));
     a.Bne(next);
     a.CmpI(kD1, static_cast<int32_t>(b.spec.pin_peer));
@@ -510,7 +493,6 @@ void NicPool::EmitShedFilter() {
     }
     shed_filter_ = generic_shed_;
     shed_filter_level_ = lvl;  // the level word, not the code, carries it
-    shed_filter_is_bitmap_ = true;
     if (shedding_ && shed_filter_ == kInvalidBlock) {
       shedding_ = false;
       shed_level_ = 0;
@@ -544,24 +526,16 @@ BlockId NicPool::BuildShedFilter() {
   const uint32_t lvl = shed_level_ >= 2 ? 2u : 1u;
   shed_gen_++;
   const std::string name = "pool_shed#" + std::to_string(shed_gen_);
-  // The synthesized early-drop filter: bound-port membership plus the
-  // current shed level compiled into straight-line code. A control-plane
-  // frame falls through to the full steering stage (via the steering cell,
-  // so steering re-emission never touches the filter); everything shed is
-  // dropped after a handful of instructions — no checksum, no ring append,
-  // no wakeup.
-  const bool bitmap = bindings_.size() > config_.shed_chain_max;
-  const std::string hit = lvl == 2 ? "cls" : "pass";
+  // The synthesized early-drop filter: the current shed level compiled into
+  // straight-line code around the bound-port bitmap test. Membership lives in
+  // the bitmap, so binds and unbinds are bit writes and never re-emit the
+  // filter. A control-plane frame falls through to the full steering stage
+  // (via the steering cell, so steering re-emission never touches the
+  // filter); everything shed is dropped after a handful of instructions — no
+  // checksum, no ring append, no wakeup.
   Asm a(name);
   a.Load32(kD0, kA1, FrameLayout::kDstPort);
-  if (bitmap) {
-    EmitBitmapTest(a, shed_bitmap_, shed_mask_tab_, hit);
-  } else {
-    for (const auto& [port, b] : bindings_) {
-      a.CmpI(kD0, static_cast<int32_t>(port));
-      a.Beq(hit);
-    }
-  }
+  EmitBitmapTest(a, shed_bitmap_, shed_mask_tab_, lvl == 2 ? "cls" : "pass");
   a.LoadA32(kD1, static_cast<int32_t>(shed_ctr_));
   a.AddI(kD1, 1);
   a.StoreA32(static_cast<int32_t>(shed_ctr_), kD1);
@@ -577,7 +551,6 @@ BlockId NicPool::BuildShedFilter() {
   SynthesisOptions opts = kernel_.config().synthesis;
   opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
   pending_shed_level_ = lvl;
-  pending_shed_bitmap_ = bitmap;
   return kernel_.SynthesizeInstall(a.Build(), Bindings(), nullptr, name,
                                    nullptr, &opts);
 }
@@ -600,31 +573,9 @@ void NicPool::InstallShedFilter(BlockId blk, SpecTier tier, bool refused) {
   }
   shed_filter_ = blk;
   shed_filter_level_ = pending_shed_level_;
-  shed_filter_is_bitmap_ = pending_shed_bitmap_;
   if (shedding_) {
     ApplySteering();  // repoint the cells before the displaced block drains
   }
-}
-
-// Bind/unbind hook: in steady bitmap mode the bit write already updated the
-// membership, so connection churn skips re-emission entirely; the chain
-// variant (small N) re-emits per change, and crossing shed_chain_max in
-// either direction re-emits to switch variants.
-void NicPool::RefreshShedFilter() {
-  if (!config_.admission_control) {
-    return;
-  }
-  if (!config_.synthesized_shed) {
-    if (generic_shed_ == kInvalidBlock) {
-      EmitShedFilter();  // retry the one-time install if it was refused
-    }
-    return;
-  }
-  const bool want_bitmap = bindings_.size() > config_.shed_chain_max;
-  if (want_bitmap && shed_filter_is_bitmap_ && shed_filter_ != kInvalidBlock) {
-    return;
-  }
-  EmitShedFilter();
 }
 
 void NicPool::WriteShedBit(uint16_t port, bool on) {
@@ -664,7 +615,7 @@ void NicPool::EnterShedLevel(uint32_t lvl) {
   shed_level_ = lvl;
   WriteShedLevel();
   // Re-emitted on watermark engage when the emitted shape no longer matches
-  // the level: the class test is folded into the compare chain, so
+  // the level: the class test is folded into the filter's code, so
   // escalation changes the code, not a flag. (The interpreted baseline reads
   // the level word instead and never re-emits.)
   if (shed_filter_ == kInvalidBlock ||
@@ -736,10 +687,18 @@ bool NicPool::AddNic() {
     return false;
   }
   AppendNic();
-  // Rebind flows whose hash or pin placement moved. The flow's processors
-  // (the stream layer's CCB-absolute segment code) are NIC-agnostic and move
-  // by reference; only the demux chains on the affected NICs re-synthesize.
-  for (auto& [port, b] : bindings_) {
+  // Rebind flows whose hash or pin placement moved, in port order so the
+  // migration replays identically. The flow's processors (the stream layer's
+  // CCB-absolute segment code) are NIC-agnostic and move by reference; only
+  // cells on the affected NICs change.
+  std::vector<uint16_t> ports;
+  ports.reserve(bindings_.size());
+  for (const auto& [port, b] : bindings_) {
+    ports.push_back(port);
+  }
+  std::sort(ports.begin(), ports.end());
+  for (uint16_t port : ports) {
+    Binding& b = bindings_.at(port);
     uint32_t owner =
         b.pinned ? PinSteerOf(port, b.spec.pin_peer) : SteerOf(port);
     if (owner == b.owner) {
@@ -772,10 +731,16 @@ bool NicPool::BindOn(uint32_t idx, const FlowSpec& spec) {
   return nics_[idx]->BindFlow(spec);
 }
 
+// Flow operations touch only tables: the owning NIC's demux cell, the
+// bound-port bitmap, and (for pinned flows) the pin table the steering block
+// is folded from. Neither the demux nor the shed filter is re-emitted.
 bool NicPool::BindFlow(FlowSpec spec) {
+  if (HasFlow(spec.port)) {
+    return false;
+  }
   Binding b;
   // A full pin table degrades to hash placement — correct, just unbalanced.
-  b.pinned = spec.pin && pinned_count() < kMaxPins;
+  b.pinned = spec.pin && CanPin();
   spec.pin = b.pinned;
   b.owner =
       b.pinned ? PinSteerOf(spec.port, spec.pin_peer) : SteerOf(spec.port);
@@ -783,55 +748,42 @@ bool NicPool::BindFlow(FlowSpec spec) {
   if (!BindOn(b.owner, b.spec)) {
     return false;
   }
-  uint16_t port = b.spec.port;
-  bool pinned = b.pinned;
-  bindings_.emplace_back(port, std::move(b));
+  const uint16_t port = b.spec.port;
+  const bool pinned = b.pinned;
+  bindings_.emplace(port, std::move(b));
   if (pinned) {
+    pins_.push_back(port);
     WriteDescriptor();
     EmitSteering();
   }
   WriteShedBit(port, true);
-  RefreshShedFilter();
-  ApplySteering();
   return true;
 }
 
 bool NicPool::RebindFlow(uint16_t port, BlockId synth_deliver) {
-  for (auto& [p, b] : bindings_) {
-    if (p == port) {
-      b.spec.synth_deliver = synth_deliver;  // so a future migration rebinds it
-      return nics_[b.owner]->RebindFlow(port, synth_deliver);
-    }
+  auto it = bindings_.find(port);
+  if (it == bindings_.end()) {
+    return false;
   }
-  return false;
+  it->second.spec.synth_deliver = synth_deliver;  // a migration rebinds it
+  return nics_[it->second.owner]->RebindFlow(port, synth_deliver);
 }
 
 bool NicPool::UnbindFlow(uint16_t port) {
-  for (size_t i = 0; i < bindings_.size(); i++) {
-    if (bindings_[i].first == port) {
-      bool was_pinned = bindings_[i].second.pinned;
-      bool ok = nics_[bindings_[i].second.owner]->UnbindFlow(port);
-      bindings_.erase(bindings_.begin() + static_cast<long>(i));
-      if (was_pinned) {
-        WriteDescriptor();
-        EmitSteering();
-      }
-      WriteShedBit(port, false);
-      RefreshShedFilter();
-      ApplySteering();
-      return ok;
-    }
+  auto it = bindings_.find(port);
+  if (it == bindings_.end()) {
+    return false;
   }
-  return false;
-}
-
-bool NicPool::HasFlow(uint16_t port) const {
-  for (const auto& [p, b] : bindings_) {
-    if (p == port) {
-      return true;
-    }
+  const bool was_pinned = it->second.pinned;
+  const bool ok = nics_[it->second.owner]->UnbindFlow(port);
+  bindings_.erase(it);
+  if (was_pinned) {
+    pins_.erase(std::find(pins_.begin(), pins_.end(), port));
+    WriteDescriptor();
+    EmitSteering();
   }
-  return false;
+  WriteShedBit(port, false);
+  return ok;
 }
 
 bool NicPool::Transmit(uint16_t dst_port, uint16_t src_port,

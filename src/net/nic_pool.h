@@ -1,8 +1,8 @@
 // A pool of NICs behind one ingress, sharded by a synthesized steering stage.
 //
 // Scaling past one interrupt path (ROADMAP: multi-NIC sharding) means N
-// devices, each with its own descriptor rings, demux chain, and interrupt
-// budget. The pool stitches them together with three pieces of emitted code:
+// devices, each with its own descriptor rings, demux cell table, and
+// interrupt budget. The pool stitches them together with emitted code:
 //
 //  * The STEERING block sits in each NIC's outer demux cell. It hashes the
 //    destination port and tail-jumps through the owning NIC's *inner* demux
@@ -22,10 +22,12 @@
 //    on (dst, src) immediates jumping straight through the owner's inner
 //    cell; generic form: a pin-table walk in the descriptor.
 //
-//  * Each NIC keeps its real demux id flowing into its inner cell, so flow
-//    re-synthesis (binds, unbinds, connection establishment) never re-emits
-//    steering: the steering stage indexes an executable data structure whose
-//    words are rewritten in place.
+//  * Each NIC keeps its real demux id flowing into its inner cell, and each
+//    demux is an install-once lookup through a port-indexed cell table, so
+//    binds, unbinds and connection establishment re-emit neither steering
+//    nor demux: they rewrite words of executable data structures in place.
+//    Host-side, the pool keeps a port-keyed index of its bindings and the
+//    pinned ports in bind order, so no flow operation scans the flow set.
 //
 //  * One DISPATCH shim per interrupt vector (installed once, so TTE vector
 //    snapshots stay valid) jumps through a dispatch cell to a re-emitted
@@ -52,15 +54,12 @@
 //     acks and segments flagged SYN/FIN/RST — stay admissible, so handshakes
 //     and teardowns complete while the retransmit machinery absorbs the shed
 //     data. Both levels disengage together on full drain.
-// Two synthesized membership variants, chosen by bound-flow count (the
-// quantitative-synthesis move — pick among correct variants by objective):
-// below shed_chain_max a compare chain of immediates (cheapest per frame at
-// small N, re-emitted per bind); above it a bound-port BITMAP walked in O(1)
-// — an executable data structure whose bits the bind path flips with two
-// memory writes, so connection churn at C10K scale stops re-emitting the
-// filter entirely. An INTERPRETED baseline (synthesized_shed = false) is
-// kept as the ablation: installed once, it reloads the shed level and walks
-// the same bitmap from memory on every frame.
+// Membership is a bound-port BITMAP tested in O(1) — an executable data
+// structure whose bits the bind path flips with one memory write — so binds
+// and unbinds never re-emit the filter; it re-emits only when the shed level
+// changes. An INTERPRETED baseline (synthesized_shed = false) is kept as the
+// ablation: installed once, it reloads the shed level from memory on every
+// frame and tests the same bitmap.
 //
 // Growing the pool (AddNic) migrates flows whose hash (or pin) moved,
 // re-emits the steering + dispatch blocks, retires the old ones, and leaves
@@ -72,6 +71,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "src/io/gauge.h"
@@ -94,9 +94,6 @@ struct NicPoolConfig {
   // only control-plane segments stay admissible. Must exceed the high
   // watermark (checked at construction).
   uint32_t shed_data_watermark = 96;
-  // Bound-flow count above which the filter's membership test switches from
-  // the immediate compare chain to the bitmap walk.
-  uint32_t shed_chain_max = 24;
   // false: the interpreted filter baseline (ablation) — installed once,
   // level and membership reloaded from memory per frame.
   bool synthesized_shed = true;
@@ -121,7 +118,7 @@ class NicPool {
   // (local `port`, known `peer`) is pinned to.
   uint32_t PinSteerOf(uint16_t port, uint16_t peer) const;
   // Where the flow for `port` actually lives (pin-aware; SteerOf for
-  // unbound ports).
+  // unbound ports). O(1), like every port query below.
   uint32_t OwnerOf(uint16_t port) const;
   // Whether the pin table has room for another pinned connection flow.
   bool CanPin() const { return pinned_count() < kMaxPins; }
@@ -183,7 +180,7 @@ class NicPool {
   // re-synthesis after a rate change); the generic twin stays.
   bool RebindFlow(uint16_t port, BlockId synth_deliver);
   bool UnbindFlow(uint16_t port);
-  bool HasFlow(uint16_t port) const;
+  bool HasFlow(uint16_t port) const { return bindings_.count(port) != 0; }
 
   // Frames enter and leave through the owning NIC, so loopback delivery always
   // lands where the flow is bound. Routing is pin-aware: a frame whose
@@ -269,21 +266,21 @@ class NicPool {
   void InstallTxDispatch(BlockId blk, SpecTier tier, bool refused);
   BlockId BuildShedFilter();
   void InstallShedFilter(BlockId blk, SpecTier tier, bool refused);
-  void RefreshShedFilter(); // bind/unbind hook: re-emit only when the shape
-                            // changed (steady bitmap mode skips emission)
   void WriteShedBit(uint16_t port, bool on);
   void WriteShedLevel();    // mirrors shed_level_ into the sim word
   void EnterShedLevel(uint32_t lvl);
   void MirrorShedCounters();
   void ApplySteering();     // points outer cells at filter or steering
   bool BindOn(uint32_t idx, const FlowSpec& spec);
+  const Binding* BindingOf(uint16_t port) const;
   uint32_t RouteOf(uint16_t dst_port, uint16_t src_port) const;
-  uint32_t pinned_count() const;
+  uint32_t pinned_count() const { return static_cast<uint32_t>(pins_.size()); }
 
   Kernel& kernel_;
   NicPoolConfig config_;
   std::vector<std::unique_ptr<NicDevice>> nics_;
-  std::vector<std::pair<uint16_t, Binding>> bindings_;
+  std::unordered_map<uint16_t, Binding> bindings_;  // keyed by local port
+  std::vector<uint16_t> pins_;  // pinned ports in bind order (<= kMaxPins)
 
   Addr desc_ = 0;
   BlockId steer_generic_ = kInvalidBlock;   // installed once, never a handle
@@ -312,8 +309,8 @@ class NicPool {
   BlockId shed_filter_ = kInvalidBlock;
   BlockId generic_shed_ = kInvalidBlock;  // interpreted baseline, install-once
   SpecId shed_spec_ = kBadSpec;
-  uint32_t pending_shed_level_ = 0;   // shape of the block BuildShedFilter
-  bool pending_shed_bitmap_ = false;  // just emitted, latched at install
+  uint32_t pending_shed_level_ = 0;  // level of the block BuildShedFilter
+                                     // just emitted, latched at install
   bool shedding_ = false;
   uint32_t shed_level_ = 0;
   uint64_t shed_engages_ = 0;
@@ -321,8 +318,7 @@ class NicPool {
   uint32_t shed_seen_ = 0;  // wrap-safe 32-bit mirror cursor of shed_ctr_
   uint32_t shed_data_seen_ = 0;
   uint32_t shed_gen_ = 0;
-  uint32_t shed_filter_level_ = 0;     // level shape of the emitted filter
-  bool shed_filter_is_bitmap_ = false;
+  uint32_t shed_filter_level_ = 0;  // level shape of the emitted filter
   Gauge shed_gauge_;
   Gauge shed_data_gauge_;
 

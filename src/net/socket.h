@@ -2,7 +2,8 @@
 // surface). A bound socket is a flow: binding allocates a byte ring, registers
 // it as a ring device in the I/O system (so open() synthesizes the per-channel
 // read code), and binds the port on the NIC pool (whose steering hash picks
-// the owning device and re-synthesizes its demux). Receive therefore runs:
+// the owning device, where the flow's deliver block lands in the demux's
+// cell table). Receive therefore runs:
 // NIC RX interrupt -> steering -> specialized demux (delivery record pushed
 // into the ring) -> the channel's synthesized ring read.
 //

@@ -45,7 +45,7 @@ constexpr double kResynthSweepUs = 20000.0;
 
 // At most this many keepalive probes leave per sweep tick; the rest of the
 // watched set resumes next tick, round-robin. A probe is cheap to send but its
-// answer is a full delivery through the owning demux chain — fanning out every
+// answer is a full delivery through the owning demux — fanning out every
 // probe at once makes one tick's cost grow with the watched-connection count
 // until a cycle charges more than its own period and the alarm livelocks.
 constexpr uint32_t kMaxProbesPerSweep = 8;
@@ -233,11 +233,11 @@ BlockId StreamLayer::GenericProcFor(uint32_t nic_idx) {
   return blk;
 }
 
-// The SYNTHESIZED per-connection segment processor. Called from the demux's
-// compare-chain with a1 = frame; must set d2 to the (folded) port. Before
-// establishment the peer is unknown, so everything routes to the host's
-// control path; at establishment the processor is re-emitted with the
-// connection-lifetime invariants folded in: the peer port is an immediate
+// The SYNTHESIZED per-connection segment processor. Reached through the
+// demux's cell for its port with a1 = frame; must set d2 to the (folded)
+// port. Before establishment the peer is unknown, so everything routes to
+// the host's control path; at establishment the processor is re-emitted with
+// the connection-lifetime invariants folded in: the peer port is an immediate
 // compare, every CCB field an absolute address, the checksum inlined, and
 // the ring geometry folded into a bulk copy publishing the head once.
 //
@@ -496,6 +496,35 @@ const StreamLayer::Conn* StreamLayer::Get(ConnId id) const {
   return it == conns_.end() ? nullptr : &it->second;
 }
 
+const StreamLayer::Ended* StreamLayer::EndedOf(ConnId id) const {
+  if (id == kBadConn || id > ended_.size() ||
+      ended_[id - 1].stats.state == CcbLayout::kClosed) {
+    return nullptr;
+  }
+  return &ended_[id - 1];
+}
+
+void StreamLayer::CompactReclaimed() {
+  size_t kept = 0;
+  for (ConnId id : reclaimed_) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) {
+      continue;
+    }
+    const Conn& c = it->second;
+    if (c.alarms_pending > 0) {
+      reclaimed_[kept++] = id;  // OnTimer still needs the record
+      continue;
+    }
+    if (ended_.size() < id) {
+      ended_.resize(id);
+    }
+    ended_[id - 1] = Ended{c.final_stats, c.local_port, c.degraded};
+    conns_.erase(it);
+  }
+  reclaimed_.resize(kept);
+}
+
 void StreamLayer::SetState(Conn& c, uint32_t state) {
   c.state = state;
   kernel_.machine().memory().Write32(c.ccb + CcbLayout::kState, state);
@@ -517,6 +546,7 @@ void StreamLayer::UpdateSweepWatch(Conn& c) {
 
 ConnId StreamLayer::NewConn(uint16_t local_port, uint16_t peer_port,
                             uint32_t state, const StreamConfig& cfg) {
+  CompactReclaimed();
   if (local_port == 0 || pool_.HasFlow(local_port) ||
       ports_in_use_.count(local_port) != 0) {
     return kBadConn;
@@ -1555,6 +1585,7 @@ void StreamLayer::ReclaimConn(Conn& c) {
   c.final_stats.state = c.state;
   c.final_stats.rcv_nxt = mem.Read32(c.ccb + CcbLayout::kRcvNxt);
   c.reclaimed = true;
+  reclaimed_.push_back(c.id);
   sweep_watch_.erase(c.id);
   tx_deferred_.erase(c.id);
   c.ack_deferred = false;
@@ -1645,7 +1676,11 @@ int32_t StreamLayer::Recv(ConnId conn, Addr buf, uint32_t cap) {
 
 int32_t StreamLayer::RecvSpan(ConnId conn, Addr buf, uint32_t cap) {
   Conn* c = Get(conn);
-  if (c == nullptr || c->state == CcbLayout::kFailed) {
+  if (c == nullptr) {
+    const Ended* e = EndedOf(conn);
+    return e == nullptr || e->stats.state == CcbLayout::kFailed ? kIoError : 0;
+  }
+  if (c->state == CcbLayout::kFailed) {
     return kIoError;
   }
   if (c->reclaimed) {
@@ -1712,7 +1747,8 @@ StreamStats StreamLayer::Stats(ConnId conn) const {
   const Conn* c = Get(conn);
   StreamStats s;
   if (c == nullptr) {
-    return s;
+    const Ended* e = EndedOf(conn);
+    return e == nullptr ? s : e->stats;
   }
   if (c->reclaimed) {
     return c->final_stats;
@@ -1732,13 +1768,19 @@ StreamStats StreamLayer::Stats(ConnId conn) const {
 }
 
 uint32_t StreamLayer::StateOf(ConnId conn) const {
-  const Conn* c = Get(conn);
-  return c == nullptr ? CcbLayout::kClosed : c->state;
+  if (const Conn* c = Get(conn)) {
+    return c->state;
+  }
+  const Ended* e = EndedOf(conn);
+  return e == nullptr ? CcbLayout::kClosed : e->stats.state;
 }
 
 uint16_t StreamLayer::PortOf(ConnId conn) const {
-  const Conn* c = Get(conn);
-  return c == nullptr ? 0 : c->local_port;
+  if (const Conn* c = Get(conn)) {
+    return c->local_port;
+  }
+  const Ended* e = EndedOf(conn);
+  return e == nullptr ? 0 : e->local_port;
 }
 
 Addr StreamLayer::CcbOf(ConnId conn) const {
@@ -1767,8 +1809,11 @@ SpecId StreamLayer::SpecOf(ConnId conn) const {
 }
 
 bool StreamLayer::DegradedOf(ConnId conn) const {
-  const Conn* c = Get(conn);
-  return c != nullptr && c->degraded;
+  if (const Conn* c = Get(conn)) {
+    return c->degraded;
+  }
+  const Ended* e = EndedOf(conn);
+  return e != nullptr && e->degraded;
 }
 
 }  // namespace synthesis

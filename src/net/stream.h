@@ -376,8 +376,23 @@ class StreamLayer {
     uint64_t fast_retransmits = 0;
   };
 
+  // A reclaimed connection after its full record is compacted away: what
+  // the accessors still answer for it, in under 100 bytes instead of the
+  // ~2.5 KB a Conn holds (its deques and wait queue keep heap nodes even
+  // when empty). Connection churn would otherwise grow host memory by every
+  // connection ever opened.
+  struct Ended {
+    StreamStats stats;  // stats.state == kClosed: no record (live or never)
+    uint16_t local_port = 0;
+    bool degraded = false;
+  };
+
   Conn* Get(ConnId id);
   const Conn* Get(ConnId id) const;
+  const Ended* EndedOf(ConnId id) const;
+  // Moves reclaimed records whose last alarm has landed into ended_. Runs
+  // only at the top of NewConn, where no Conn reference is live.
+  void CompactReclaimed();
   ConnId NewConn(uint16_t local_port, uint16_t peer_port, uint32_t state,
                  const StreamConfig& cfg);
   void SetState(Conn& c, uint32_t state);
@@ -464,6 +479,8 @@ class StreamLayer {
   double last_sweep_period_us_ = 0;
   uint32_t sweep_stretch_ = 1;
   std::map<ConnId, Conn> conns_;
+  std::vector<ConnId> reclaimed_;  // reclaimed records not yet compacted
+  std::deque<Ended> ended_;        // indexed by ConnId - 1
   std::set<uint16_t> ports_in_use_;  // local ports of unreclaimed connections
   ConnId next_id_ = 1;
   uint16_t eph_base_ = kEphemeralBase;

@@ -331,5 +331,30 @@ TEST_F(KernelTest, KernelSizeAccountingGrowsWithThreads) {
       << "per-thread synthesized code contributes to kernel size (§6.4)";
 }
 
+// ...and leaves with it: an exiting thread's switch and error-trap code is
+// retired, so thread churn returns the code store to its starting level.
+TEST_F(KernelTest, ExitingThreadsReturnTheirCode) {
+  const size_t blocks = k_.code().live_block_count();
+  const size_t bytes = k_.code().code_bytes();
+  const uint32_t allocs = k_.allocator().allocation_count();
+  WaitQueue wq;
+  for (int i = 0; i < 64; i++) {
+    // Half exit from their own step; half exit after blocking and waking.
+    if (i % 2 == 0) {
+      k_.CreateThread(std::make_unique<CountedProgram>(2));
+    } else {
+      k_.CreateThread(std::make_unique<BlockingProgram>(&wq));
+    }
+  }
+  EXPECT_GT(k_.code().live_block_count(), blocks);
+  k_.Run();
+  k_.UnblockAll(wq);
+  k_.Run();
+  EXPECT_EQ(k_.ready_queue().Size(), 0u);
+  EXPECT_EQ(k_.code().live_block_count(), blocks);
+  EXPECT_EQ(k_.code().code_bytes(), bytes);
+  EXPECT_EQ(k_.allocator().allocation_count(), allocs);
+}
+
 }  // namespace
 }  // namespace synthesis

@@ -214,21 +214,26 @@ TEST_F(NetTest, FullRingDropsAndCounts) {
 }
 
 TEST_F(NetTest, FlowSetupTeardownAndResynthesis) {
-  BlockId empty = nic_.demux().synthesized_demux();
+  // The synthesized demux is an install-once lookup through the cell table:
+  // flow changes rewrite cells, never the demux block.
+  const BlockId demux = nic_.demux().synthesized_demux();
+  ASSERT_NE(demux, kInvalidBlock);
   auto ring = BindRing(5);
-  BlockId with_flow = nic_.demux().synthesized_demux();
-  EXPECT_NE(empty, with_flow) << "adding a flow re-synthesizes the demux";
+  EXPECT_EQ(nic_.demux().synthesized_demux(), demux)
+      << "binding a flow stores a cell, it does not re-synthesize the demux";
   EXPECT_TRUE(nic_.demux().HasFlow(5));
   EXPECT_FALSE(nic_.BindFlow(FlowSpec::Ring(5, ring))) << "port already bound";
   EXPECT_TRUE(nic_.UnbindFlow(5));
+  EXPECT_EQ(nic_.demux().synthesized_demux(), demux);
   EXPECT_FALSE(nic_.demux().HasFlow(5));
   EXPECT_FALSE(nic_.UnbindFlow(5));
   // Frames to the removed port now fall through to no-match.
   ASSERT_TRUE(Send(5, 1, "gone"));
   k_.Run();
   EXPECT_EQ(nic_.nomatch_gauge().events(), 1u);
-  // Rebinding works and delivers again.
+  // Rebinding works and delivers again, through the same demux block.
   BindRing(5);
+  EXPECT_EQ(nic_.demux().synthesized_demux(), demux);
   ASSERT_TRUE(Send(5, 2, "back"));
   k_.Run();
   EXPECT_EQ(nic_.demux().delivered(5), 1u);
@@ -249,6 +254,57 @@ TEST_F(NetTest, DemuxCellSwapsImplementationWithoutRebinding) {
   EXPECT_EQ(payload, "generic");
   ASSERT_TRUE(DrainRecord(*ring, &src, &payload));
   EXPECT_EQ(payload, "synth");
+}
+
+// A bind that cannot get memory for its leaf or its counter word is refused
+// with nothing changed — allocator, code store and both tables — and the same
+// bind succeeds once memory is back.
+TEST(DemuxCellTableTest, RefusedAllocationLeavesTheTablesUnchanged) {
+  Kernel k;
+  IoSystem io(k, nullptr);
+  DemuxSynthesizer demux(k);
+  auto ring = io.MakeRing(256);
+  ASSERT_TRUE(demux.AddFlow(0x1234, ring->base));  // leaf 0x12 now exists
+  const uint32_t bytes = k.allocator().bytes_in_use();
+  const uint32_t count = k.allocator().allocation_count();
+  const size_t blocks = k.code().live_block_count();
+  auto refuse_visits = [&](std::vector<uint64_t> offsets) {
+    FaultTrigger t;
+    for (uint64_t o : offsets) {
+      t.schedule.push_back(k.faults().visits(FaultSite::kAlloc) + o);
+    }
+    k.faults().Arm(FaultSite::kAlloc, t);
+  };
+  refuse_visits({1});  // the fresh leaf
+  EXPECT_FALSE(demux.AddFlow(0x5678, ring->base));
+  refuse_visits({1});
+  EXPECT_FALSE(demux.AddFlowCustom(0x5679, ring->base, 0, demux.generic_demux(),
+                                   demux.generic_demux()));
+  refuse_visits({2});  // the leaf is granted, the counter word is not
+  EXPECT_FALSE(demux.AddFlow(0x5678, ring->base));
+  refuse_visits({1});  // existing leaf, no counter word
+  EXPECT_FALSE(demux.AddFlow(0x1235, ring->base));
+  k.faults().Disarm(FaultSite::kAlloc);
+  EXPECT_EQ(k.allocator().bytes_in_use(), bytes);
+  EXPECT_EQ(k.allocator().allocation_count(), count);
+  EXPECT_EQ(k.code().live_block_count(), blocks);
+  EXPECT_EQ(demux.flow_count(), 1u);
+
+  Addr frame = k.allocator().Allocate(FrameLayout::kSlotBytes);
+  const uint8_t payload[2] = {1, 2};
+  for (uint16_t port : {0x5678, 0x5679, 0x1235}) {
+    WriteFrame(k.machine().memory(), frame, port, 9, payload, 2);
+    for (BlockId d : {demux.generic_demux(), demux.synthesized_demux()}) {
+      k.machine().set_reg(kA1, frame);
+      k.kexec().Call(d);
+      EXPECT_EQ(static_cast<int32_t>(k.machine().reg(kD0)), -2) << port;
+    }
+  }
+  ASSERT_TRUE(demux.AddFlow(0x5678, ring->base));
+  WriteFrame(k.machine().memory(), frame, 0x5678, 9, payload, 2);
+  k.machine().set_reg(kA1, frame);
+  k.kexec().Call(demux.synthesized_demux());
+  EXPECT_EQ(k.machine().reg(kD0), 1u);
 }
 
 // --- Socket layer -----------------------------------------------------------

@@ -421,9 +421,9 @@ TEST(NicPoolTest, ShedEscalationAdmitsControlShedsData) {
   EXPECT_EQ(pool.shed_level(), 0u);
 }
 
-// At connection scale the compare chain gives way to the bitmap variant:
-// past shed_chain_max bound ports, membership is a bit test and connection
-// churn is a data write — bind/unbind stops re-emitting the filter entirely.
+// Membership is a bound-port bitmap at every flow count: a bind or unbind is
+// one bit write, never a re-emission of the filter. Only a shed-level change
+// re-emits it.
 TEST(NicPoolTest, BitmapVariantBindsWithoutReemissionAndFiltersByBit) {
   Kernel k;
   IoSystem io(k, nullptr);
@@ -432,23 +432,19 @@ TEST(NicPoolTest, BitmapVariantBindsWithoutReemissionAndFiltersByBit) {
   pc.admission_control = true;
   pc.shed_high_watermark = 4;
   pc.shed_low_watermark = 1;
-  pc.shed_chain_max = 2;
   NicPool pool(k, pc);
+  const BlockId filter = pool.shed_filter();
+  ASSERT_NE(filter, kInvalidBlock);
+  const size_t blocks = k.code().live_block_count();
   std::vector<std::shared_ptr<RingHost>> rings;
-  for (uint16_t port : {80, 81}) {
-    rings.push_back(io.MakeRing(4096));
+  for (uint16_t port = 80; port < 80 + 64; port++) {
+    rings.push_back(io.MakeRing(256));
     ASSERT_TRUE(pool.BindFlow(FlowSpec::Ring(port, rings.back())));
+    ASSERT_EQ(pool.shed_filter(), filter)
+        << "bind of flow " << (port - 79) << " re-emitted the filter";
   }
-  const BlockId chain = pool.shed_filter();
-  rings.push_back(io.MakeRing(4096));
-  ASSERT_TRUE(pool.BindFlow(FlowSpec::Ring(82, rings.back())));
-  const BlockId bitmap = pool.shed_filter();
-  EXPECT_NE(bitmap, chain) << "crossing shed_chain_max switches variants";
-
-  rings.push_back(io.MakeRing(4096));
-  ASSERT_TRUE(pool.BindFlow(FlowSpec::Ring(83, rings.back())));
-  EXPECT_EQ(pool.shed_filter(), bitmap)
-      << "steady bitmap mode: a bind is one bit write, no re-emission";
+  // Each datagram bind installs exactly its own deliver block.
+  EXPECT_EQ(k.code().live_block_count(), blocks + rings.size());
 
   // Drive the filter block directly: bound ports fall through to steering
   // and deliver; an unknown port dies with the no-match verdict.
@@ -460,10 +456,13 @@ TEST(NicPoolTest, BitmapVariantBindsWithoutReemissionAndFiltersByBit) {
   // Unbind clears the bit, again without re-emission; the port now sheds in
   // the filter itself (the early-shed counter proves it never reached the
   // demux's own no-match path).
-  ASSERT_TRUE(pool.UnbindFlow(82));
-  EXPECT_EQ(pool.shed_filter(), bitmap);
+  for (uint16_t port = 80; port < 80 + 64; port += 2) {
+    ASSERT_TRUE(pool.UnbindFlow(port));
+    ASSERT_EQ(pool.shed_filter(), filter);
+  }
   EXPECT_EQ(CallWithFrame(k, pool.shed_filter(), frame, 82, "xx"),
             static_cast<uint32_t>(-2));
+  EXPECT_EQ(CallWithFrame(k, pool.shed_filter(), frame, 83, "ok"), 1u);
   EXPECT_EQ(pool.Aggregate().early_sheds, 2u);
 }
 

@@ -743,6 +743,65 @@ TEST_F(StreamTest, ConnectionChurnReclaimsProcessorsAndMemory) {
   EXPECT_EQ(k_.allocator().allocation_count(), allocs_after_warmup);
 }
 
+// A reclaimed connection's full host record is compacted at the next open;
+// every accessor must answer exactly as it did before.
+TEST_F(StreamTest, ReclaimedConnectionAnswersTheSameAfterCompaction) {
+  ConnId srv = st_.Listen(80);
+  ConnId cli = st_.Connect(80);
+  Addr buf = k_.allocator().Allocate(64);
+  k_.Run();
+  ASSERT_EQ(st_.Send(cli, buf, 48), 48);
+  ASSERT_TRUE(st_.Close(cli));
+  k_.Run();
+  ASSERT_EQ(st_.Recv(srv, buf, 64), 48);
+  ASSERT_EQ(st_.Recv(srv, buf, 64), 0);
+  ASSERT_TRUE(st_.Close(srv));
+  k_.Run();
+  struct View {
+    StreamStats stats;
+    uint32_t state;
+    uint16_t port;
+    bool degraded;
+    int32_t send, recv;
+    bool close;
+  };
+  auto view = [&](ConnId id) {
+    View v{st_.Stats(id), st_.StateOf(id), st_.PortOf(id), st_.DegradedOf(id),
+           st_.Send(id, buf, 8), st_.Recv(id, buf, 8), st_.Close(id)};
+    EXPECT_EQ(st_.CcbOf(id), 0u);
+    EXPECT_EQ(st_.RingOf(id), nullptr);
+    EXPECT_EQ(st_.ChannelOf(id), kBadChannel);
+    EXPECT_EQ(st_.SynthDeliverOf(id), kInvalidBlock);
+    EXPECT_EQ(st_.SpecOf(id), kBadSpec);
+    return v;
+  };
+  const View before[2] = {view(cli), view(srv)};
+  ASSERT_EQ(before[0].state, CcbLayout::kDone);
+  ASSERT_GT(before[1].stats.accepted_segments, 0u);
+  ASSERT_NE(st_.Listen(81), kBadConn);  // compacts the reclaimed records
+  const View after[2] = {view(cli), view(srv)};
+  for (int i = 0; i < 2; i++) {
+    const StreamStats& a = before[i].stats;
+    const StreamStats& b = after[i].stats;
+    EXPECT_EQ(a.retransmits, b.retransmits);
+    EXPECT_EQ(a.timeouts, b.timeouts);
+    EXPECT_EQ(a.fast_retransmits, b.fast_retransmits);
+    EXPECT_EQ(a.dup_acks, b.dup_acks);
+    EXPECT_EQ(a.out_of_order, b.out_of_order);
+    EXPECT_EQ(a.accepted_segments, b.accepted_segments);
+    EXPECT_EQ(a.rto_us, b.rto_us);
+    EXPECT_EQ(a.cwnd, b.cwnd);
+    EXPECT_EQ(a.state, b.state);
+    EXPECT_EQ(a.rcv_nxt, b.rcv_nxt);
+    EXPECT_EQ(before[i].state, after[i].state);
+    EXPECT_EQ(before[i].port, after[i].port);
+    EXPECT_EQ(before[i].degraded, after[i].degraded);
+    EXPECT_EQ(before[i].send, after[i].send);
+    EXPECT_EQ(before[i].recv, after[i].recv);
+    EXPECT_EQ(before[i].close, after[i].close);
+  }
+}
+
 // Satellite of the churn test above: the same open/transfer/close cycle, but
 // with the fault plane firing at the allocator and the code store at the
 // worst moments — during Connect's resource construction and during the

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <random>
 #include <set>
@@ -189,12 +190,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SynthesizerFuzz, ::testing::Range(1, 13));
 
 // --- Demux template fuzzing ---------------------------------------------------
 //
-// Random flow sets (ports, ring sizes, fixed-length declarations) drive the
-// demux synthesizer; random — frequently malformed — packets are then run
-// through BOTH the generic and the synthesized demux. The specializer must
-// never crash, every emitted block must be well-formed (branches inside the
-// block, calls to valid blocks), and the two demux implementations must agree
-// on every packet's fate.
+// Random flow sets (ports spread over several cell-table leaves, ring sizes,
+// fixed-length declarations, datagram and custom flows) drive the demux
+// synthesizer through interleaved binds, unbinds and rebinds; after every
+// change, random — frequently malformed or hostile — packets are run through
+// BOTH the generic and the synthesized demux. Every emitted block must be
+// well-formed (branches inside the block, calls to valid blocks), the two
+// demux implementations must agree on every packet's fate, the synthesized
+// demux must never be re-emitted, and tearing every flow down must return
+// the allocator to its post-construction level (the leaves were freed).
 
 // Scans a block: branch targets in range, static call targets valid.
 void ExpectWellFormed(Kernel& k, BlockId id) {
@@ -213,6 +217,38 @@ void ExpectWellFormed(Kernel& k, BlockId id) {
   }
 }
 
+// A custom flow's synthesized deliver with the generic walk's verdicts for a
+// flexible-length flow whose handler accepts: length check, then the shared
+// checksum, then d0 = 1 — the shape of a stream segment processor.
+BlockId AcceptingDeliver(Kernel& k, DemuxSynthesizer& demux, uint16_t port) {
+  Asm a("fuzz_custom$" + std::to_string(port));
+  a.MoveI(kD2, port);
+  a.Load32(kD5, kA1, FrameLayout::kLength);
+  a.MoveI(kD1, FrameLayout::kMaxPayload);
+  a.Cmp(kD5, kD1);
+  a.Bls("lenok");
+  a.LoadA32(kD1, static_cast<int32_t>(demux.ctr_malformed_addr()));
+  a.AddI(kD1, 1);
+  a.StoreA32(static_cast<int32_t>(demux.ctr_malformed_addr()), kD1);
+  a.MoveI(kD0, 0);
+  a.Rts();
+  a.Label("lenok");
+  a.Jsr(static_cast<int32_t>(demux.csum_block()));
+  a.Tst(kD0);
+  a.Bne("ck");
+  a.LoadA32(kD1, static_cast<int32_t>(demux.ctr_csum_addr()));
+  a.AddI(kD1, 1);
+  a.StoreA32(static_cast<int32_t>(demux.ctr_csum_addr()), kD1);
+  a.MoveI(kD0, 0);
+  a.Rts();
+  a.Label("ck");
+  a.MoveI(kD0, 1);
+  a.Rts();
+  SynthesisOptions verbatim = SynthesisOptions::Disabled();
+  return k.SynthesizeInstall(a.Build(), Bindings(), nullptr, "", nullptr,
+                             &verbatim);
+}
+
 class DemuxFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(DemuxFuzz, RandomFlowsAndMalformedPacketsNeverBreakTheDemux) {
@@ -220,93 +256,177 @@ TEST_P(DemuxFuzz, RandomFlowsAndMalformedPacketsNeverBreakTheDemux) {
   Kernel k;
   IoSystem io(k, nullptr);
   DemuxSynthesizer demux(k);
+  const uint32_t base_bytes = k.allocator().bytes_in_use();
+  const uint32_t base_count = k.allocator().allocation_count();
+  const BlockId synth = demux.synthesized_demux();
+  ExpectWellFormed(k, demux.generic_demux());
+  ExpectWellFormed(k, synth);
 
-  // Random flow set: unique ports, power-of-two ring sizes, a mix of
-  // flexible and fixed-length flows (some beyond the unroll limit).
+  // The custom flows' shared generic handler: the walk has already checked
+  // length and checksum, so it just accepts.
+  Asm acc("fuzz_accept");
+  acc.MoveI(kD0, 1);
+  acc.Rts();
+  const BlockId accept = k.SynthesizeInstall(acc.Build(), Bindings(), nullptr,
+                                             "fuzz_accept");
+
+  // Candidate ports: the leaf edges 255 | 256 and the top port 65535 (three
+  // different leaves), plus random ports anywhere in the space.
   std::uniform_int_distribution<uint32_t> port_pick(1, 65535);
   std::uniform_int_distribution<uint32_t> capexp_pick(6, 12);
   std::uniform_int_distribution<uint32_t> fixed_pick(0, 96);
-  std::vector<uint16_t> ports;
-  std::vector<std::shared_ptr<RingHost>> rings;
-  uint32_t flows = 1 + rng() % 8;
-  while (ports.size() < flows) {
-    uint16_t port = static_cast<uint16_t>(port_pick(rng));
-    if (demux.HasFlow(port)) {
-      continue;
+  std::vector<uint16_t> candidates = {255, 256, 65535};
+  while (candidates.size() < 16) {
+    const uint16_t p = static_cast<uint16_t>(port_pick(rng));
+    if (std::find(candidates.begin(), candidates.end(), p) == candidates.end()) {
+      candidates.push_back(p);
     }
-    auto ring = io.MakeRing(1u << capexp_pick(rng));
-    ASSERT_TRUE(demux.AddFlow(port, ring->base, fixed_pick(rng)));
-    ports.push_back(port);
-    rings.push_back(std::move(ring));
   }
-  ExpectWellFormed(k, demux.generic_demux());
-  ExpectWellFormed(k, demux.synthesized_demux());
+  struct Bound {
+    std::shared_ptr<RingHost> ring;
+    BlockId custom = kInvalidBlock;  // caller-owned deliver (custom flows)
+    bool on_generic = false;         // custom cell rebound to the walk
+  };
+  std::map<uint16_t, Bound> bound;
+  std::vector<BlockId> custom_blocks;
+  auto bind = [&](uint16_t port) {
+    Bound b;
+    b.ring = io.MakeRing(1u << capexp_pick(rng));
+    if (rng() % 3 == 0) {
+      b.custom = AcceptingDeliver(k, demux, port);
+      custom_blocks.push_back(b.custom);
+      ASSERT_TRUE(demux.AddFlowCustom(port, b.ring->base, 0, b.custom, accept));
+    } else {
+      ASSERT_TRUE(demux.AddFlow(port, b.ring->base, fixed_pick(rng)));
+    }
+    bound[port] = std::move(b);
+  };
+  auto unbind = [&](uint16_t port) {
+    ASSERT_TRUE(demux.RemoveFlow(port));
+    ASSERT_FALSE(demux.RemoveFlow(port));
+    k.allocator().Free(bound[port].ring->base);
+    bound.erase(port);
+  };
 
   Addr frame = k.allocator().Allocate(FrameLayout::kSlotBytes);
   Memory& mem = k.machine().memory();
-  for (int round = 0; round < 48; round++) {
-    // Random packet: half the time aimed at a bound port; length fields
-    // range from valid through hostile (huge / wrapping); checksums are
-    // correct, near-miss, or random garbage.
-    uint32_t dst =
-        rng() % 2 == 0 ? ports[rng() % ports.size()] : port_pick(rng);
-    uint32_t declared = rng() % 4 == 0 ? rng() : rng() % 128;
-    uint32_t actual = declared <= FrameLayout::kMaxPayload
-                          ? declared
-                          : rng() % FrameLayout::kMaxPayload;
-    std::vector<uint8_t> payload(actual);
-    for (auto& b : payload) {
-      b = static_cast<uint8_t>(rng());
-    }
-    uint32_t src = port_pick(rng);
-    uint32_t csum = FrameChecksum(dst, src, payload.data(), actual);
-    if (declared != actual) {
-      csum = rng();  // the declared length never matches anyway
-    } else if (rng() % 3 == 0) {
-      csum += 1 + rng() % 5;
-    } else if (rng() % 7 == 0) {
-      csum = rng();
-    }
-    mem.Write32(frame + FrameLayout::kDstPort, dst);
-    mem.Write32(frame + FrameLayout::kSrcPort, src);
-    mem.Write32(frame + FrameLayout::kLength, declared);
-    mem.Write32(frame + FrameLayout::kChecksum, csum);
-    if (actual > 0) {
-      mem.WriteBytes(frame + FrameLayout::kPayload, payload.data(), actual);
-    }
-
-    // Run generic and synthesized from identical ring state and compare.
-    uint32_t verdicts[2];
-    uint32_t matched[2] = {0, 0};
-    for (int pass = 0; pass < 2; pass++) {
-      for (const auto& ring : rings) {
-        // Empty every flow ring so both passes see identical space.
-        mem.Write32(ring->base + RingLayout::kHead, 0);
-        mem.Write32(ring->base + RingLayout::kTail, 0);
+  // Random packets against the current flow set, generic vs synthesized.
+  auto compare = [&](int step) {
+    for (int round = 0; round < 8; round++) {
+      // Aimed at a bound port, at a candidate (often one just unbound), at
+      // a random one, or hostile: a dst word past the port space that
+      // aliases a bound port in its low 16 bits.
+      uint32_t dst = port_pick(rng);
+      const uint32_t aim = rng() % 5;
+      if (aim == 2) {
+        dst = candidates[rng() % candidates.size()];
+      } else if (aim != 3 && !bound.empty()) {
+        auto it = bound.begin();
+        std::advance(it, rng() % bound.size());
+        dst = it->first;
       }
-      k.machine().set_reg(kA1, frame);
-      k.machine().set_reg(kD0, 0xDEAD);
-      RunResult rr = k.kexec().Call(pass == 0 ? demux.generic_demux()
-                                              : demux.synthesized_demux());
-      ASSERT_EQ(rr.outcome, RunOutcome::kReturned)
-          << "demux crashed on round " << round;
-      verdicts[pass] = k.machine().reg(kD0);
-      matched[pass] = k.machine().reg(kD2);
+      if (aim == 4) {
+        dst |= (1u + rng() % 0xFFFFu) << 16;
+      }
+      uint32_t declared = rng() % 4 == 0 ? rng() : rng() % 128;
+      uint32_t actual = declared <= FrameLayout::kMaxPayload
+                            ? declared
+                            : rng() % FrameLayout::kMaxPayload;
+      std::vector<uint8_t> payload(actual);
+      for (auto& b : payload) {
+        b = static_cast<uint8_t>(rng());
+      }
+      uint32_t src = port_pick(rng);
+      uint32_t csum = FrameChecksum(dst, src, payload.data(), actual);
+      if (declared != actual) {
+        csum = rng();  // the declared length never matches anyway
+      } else if (rng() % 3 == 0) {
+        csum += 1 + rng() % 5;
+      } else if (rng() % 7 == 0) {
+        csum = rng();
+      }
+      mem.Write32(frame + FrameLayout::kDstPort, dst);
+      mem.Write32(frame + FrameLayout::kSrcPort, src);
+      mem.Write32(frame + FrameLayout::kLength, declared);
+      mem.Write32(frame + FrameLayout::kChecksum, csum);
+      if (actual > 0) {
+        mem.WriteBytes(frame + FrameLayout::kPayload, payload.data(), actual);
+      }
+
+      // Run generic and synthesized from identical ring state and compare.
+      uint32_t verdicts[2];
+      uint32_t matched[2] = {0, 0};
+      for (int pass = 0; pass < 2; pass++) {
+        for (const auto& [port, b] : bound) {
+          // Empty every flow ring so both passes see identical space.
+          mem.Write32(b.ring->base + RingLayout::kHead, 0);
+          mem.Write32(b.ring->base + RingLayout::kTail, 0);
+        }
+        k.machine().set_reg(kA1, frame);
+        k.machine().set_reg(kD0, 0xDEAD);
+        RunResult rr = k.kexec().Call(pass == 0 ? demux.generic_demux()
+                                                : demux.synthesized_demux());
+        ASSERT_EQ(rr.outcome, RunOutcome::kReturned)
+            << "demux crashed on step " << step << " round " << round;
+        verdicts[pass] = k.machine().reg(kD0);
+        matched[pass] = k.machine().reg(kD2);
+      }
+      EXPECT_EQ(verdicts[0], verdicts[1])
+          << "generic and synthesized disagree on step " << step
+          << " round " << round << " (dst " << dst << ")";
+      if (dst > 0xFFFF) {
+        EXPECT_EQ(verdicts[0], static_cast<uint32_t>(-2))
+            << "hostile dst " << dst << " matched a flow";
+      }
+      if (verdicts[0] == verdicts[1] &&
+          verdicts[0] != static_cast<uint32_t>(-2)) {
+        EXPECT_EQ(matched[0], matched[1])
+            << "matched-port divergence on step " << step;
+      }
     }
-    EXPECT_EQ(verdicts[0], verdicts[1])
-        << "generic and synthesized disagree on round " << round;
-    if (verdicts[0] == verdicts[1] &&
-        verdicts[0] != static_cast<uint32_t>(-2)) {
-      EXPECT_EQ(matched[0], matched[1])
-          << "matched-port divergence on round " << round;
+  };
+
+  // Three leaves populated at once, then interleaved churn: bind a free
+  // candidate, unbind a bound one, or rebind one (a custom flow's cell swaps
+  // between its own deliver and the generic walk, the shape of a degraded
+  // stream connection; a datagram flow is torn down and bound afresh).
+  for (uint16_t p : {255, 256, 65535}) {
+    bind(p);
+  }
+  compare(-1);
+  for (int step = 0; step < 48; step++) {
+    const uint16_t port = candidates[rng() % candidates.size()];
+    auto it = bound.find(port);
+    if (it == bound.end()) {
+      bind(port);
+    } else if (rng() % 2 == 0) {
+      unbind(port);
+    } else if (it->second.custom != kInvalidBlock) {
+      Bound& b = it->second;
+      b.on_generic = !b.on_generic;
+      ASSERT_TRUE(demux.SetFlowDeliver(
+          port, b.on_generic ? demux.generic_demux() : b.custom));
+    } else {
+      ASSERT_FALSE(demux.SetFlowDeliver(port, demux.generic_demux()))
+          << "a datagram flow's deliver belongs to the demux";
+      unbind(port);
+      bind(port);
     }
+    ASSERT_EQ(demux.flow_count(), bound.size());
+    ASSERT_EQ(demux.synthesized_demux(), synth)
+        << "flow churn must not re-emit the demux";
+    ExpectWellFormed(k, demux.generic_demux());
+    compare(step);
   }
-  // Tear half the flows down and verify the resynthesized chain again.
-  for (size_t i = 0; i < ports.size(); i += 2) {
-    ASSERT_TRUE(demux.RemoveFlow(ports[i]));
+
+  // Tear everything down: every leaf, counter word and ring goes back.
+  while (!bound.empty()) {
+    unbind(bound.begin()->first);
   }
-  ExpectWellFormed(k, demux.generic_demux());
-  ExpectWellFormed(k, demux.synthesized_demux());
+  EXPECT_EQ(demux.flow_count(), 0u);
+  k.allocator().Free(frame);
+  EXPECT_EQ(k.allocator().bytes_in_use(), base_bytes);
+  EXPECT_EQ(k.allocator().allocation_count(), base_count);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DemuxFuzz, ::testing::Range(1, 9));
