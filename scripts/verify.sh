@@ -114,13 +114,16 @@ if command -v python3 > /dev/null; then
       || { echo "verify: malformed $j" >&2; exit 1; }
   done
 
-  # Repository benchmark smoke: one traced conn_churn window (Release build
-  # in .bench_build/). "correct" covers every lifecycle's bytes, exact
-  # occupancy return after the phase, virtual_identical and zero_residual.
-  python3 perfbench/run.py --workload conn_churn --seed 1 --seconds 0 \
-      --trace 1 2> /dev/null | tail -n 1 \
-    | python3 -c 'import json,sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)' \
-    || { echo "verify: perfbench conn_churn smoke failed" >&2; exit 1; }
+  # Repository benchmark smoke: one traced window per workload (Release build
+  # in .bench_build/). "correct" covers every operation's bytes and every
+  # workload check (conn_churn: exact occupancy return after the phase), plus
+  # virtual_identical and zero_residual.
+  for w in conn_churn stream_echo file_mix; do
+    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 0 \
+        --trace 1 2> /dev/null | tail -n 1 \
+      | python3 -c 'import json,sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)' \
+      || { echo "verify: perfbench $w smoke failed" >&2; exit 1; }
+  done
 fi
 
 echo "verify: OK ($BUILD_DIR)"

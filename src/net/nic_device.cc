@@ -77,17 +77,15 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     }
     uint32_t result = m.reg(kD0);
     if (result == 1) {
-      uint16_t port = static_cast<uint16_t>(m.reg(kD2));
-      auto it = rings_.find(port);
-      if (it != rings_.end()) {
-        kernel_.UnblockOne(it->second->readers);
-      }
-      auto hit = hooks_.find(port);
-      if (hit != hooks_.end()) {
-        // Copy before invoking: the hook may unbind its own port (e.g. a
-        // stream connection failing its retry cap mid-delivery).
-        std::function<void()> hook = hit->second;
-        hook();
+      auto it = flows_.find(static_cast<uint16_t>(m.reg(kD2)));
+      if (it != flows_.end()) {
+        kernel_.UnblockOne(it->second.ring->readers);
+        if (it->second.deliver_hook) {
+          // Copy before invoking: the hook may unbind its own port (e.g. a
+          // stream connection failing its retry cap mid-delivery).
+          std::function<void()> hook = it->second.deliver_hook;
+          hook();
+        }
       }
     } else if (result == static_cast<uint32_t>(-2)) {
       nomatch_gauge_.Count();
@@ -507,7 +505,7 @@ void NicDevice::SetDemuxOverride(BlockId steer) {
   RefreshDemuxCell();
 }
 
-bool NicDevice::BindFlow(const FlowSpec& spec) {
+bool NicDevice::BindFlow(FlowSpec spec) {
   if (spec.ring == nullptr) {
     return false;
   }
@@ -528,27 +526,25 @@ bool NicDevice::BindFlow(const FlowSpec& spec) {
   } else if (!demux_.AddFlow(spec.port, spec.ring->base, spec.fixed_len)) {
     return false;
   }
-  rings_[spec.port] = spec.ring;
-  if (spec.deliver_hook) {
-    hooks_[spec.port] = spec.deliver_hook;
-  }
-  if (!spec.batch) {
-    nobatch_ports_.insert(spec.port);
-  }
+  const uint16_t port = spec.port;
+  flows_.emplace(port, std::move(spec));
   return true;
 }
 
 bool NicDevice::RebindFlow(uint16_t port, BlockId synth_deliver) {
-  return demux_.SetFlowDeliver(port, synth_deliver);
+  auto it = flows_.find(port);
+  if (it == flows_.end() || !demux_.SetFlowDeliver(port, synth_deliver)) {
+    return false;
+  }
+  it->second.synth_deliver = synth_deliver;  // a migration rebinds it
+  return true;
 }
 
 bool NicDevice::UnbindFlow(uint16_t port) {
   if (!demux_.RemoveFlow(port)) {
     return false;
   }
-  rings_.erase(port);
-  hooks_.erase(port);
-  nobatch_ports_.erase(port);
+  flows_.erase(port);
   return true;
 }
 
@@ -813,11 +809,12 @@ void NicDevice::ScheduleRxDelivery(uint32_t rx_idx, double at) {
   // with batch=false (latency-sensitive) fire at arrival time; any frames
   // already due then are swept into their batch for free.
   Memory& mem = kernel_.machine().memory();
-  uint16_t port = static_cast<uint16_t>(
-      mem.Read32(RxSlotAddr(rx_idx) + FrameLayout::kDstPort));
+  auto it = flows_.find(static_cast<uint16_t>(
+      mem.Read32(RxSlotAddr(rx_idx) + FrameLayout::kDstPort)));
+  const bool nobatch = it != flows_.end() && !it->second.batch;
   PendingRx p;
   p.at = at;
-  p.fire = nobatch_ports_.count(port) != 0 ? at : at + config_.rx_coalesce_us;
+  p.fire = nobatch ? at : at + config_.rx_coalesce_us;
   p.seq = rx_pending_seq_++;
   p.slot = rx_idx;
   rx_pending_.push_back(p);

@@ -29,7 +29,6 @@
 #include <memory>
 #include <random>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/io/gauge.h"
@@ -90,9 +89,9 @@ struct NicConfig {
 // host-only work (acks, window pushes, wakeups), never a nested kexec call.
 // `batch` opts the flow into RX coalescing (NicConfig::rx_coalesce_us);
 // latency-critical flows clear it so their arrival fires the batched entry
-// immediately instead of waiting out the window. `pin`/`pin_peer` are read
-// by the NicPool only: a pinned connection flow steers by its (dst, src)
-// pair instead of the dst-port hash.
+// immediately instead of waiting out the window. The owning device keeps the
+// spec as the flow's one host record (RebindFlow keeps it current), so a
+// pool migration rebinds the flow from it.
 struct FlowSpec {
   uint16_t port = 0;
   std::shared_ptr<RingHost> ring;
@@ -102,8 +101,6 @@ struct FlowSpec {
   BlockId generic_deliver = kInvalidBlock;
   std::function<void()> deliver_hook;
   bool batch = true;
-  bool pin = false;
-  uint16_t pin_peer = 0;
 
   // The common case: a plain datagram flow appending [len src payload]
   // records into `ring` (fixed_len > 0 declares every datagram that size —
@@ -130,11 +127,15 @@ class NicDevice {
   // `spec.fixed_len` > 0 declares a fixed datagram size the demux
   // synthesizer folds (and enforces). A spec must carry both deliver blocks
   // or neither.
-  bool BindFlow(const FlowSpec& spec);
+  bool BindFlow(FlowSpec spec);
   // Swaps a custom flow's specialized deliver (e.g. a connection left LISTEN
   // and the peer is now a foldable invariant): one demux cell store.
   bool RebindFlow(uint16_t port, BlockId synth_deliver);
   bool UnbindFlow(uint16_t port);
+  // The bound flows, keyed by port (the pool walks them to migrate).
+  const std::unordered_map<uint16_t, FlowSpec>& flows() const {
+    return flows_;
+  }
 
   // Changes wire fault rates mid-run (e.g. a link going dark under test).
   void SetWireFaults(double drop, double corrupt, double reorder,
@@ -315,7 +316,6 @@ class NicDevice {
   uint64_t rx_pending_seq_ = 0;
   bool batch_armed_ = false;      // one batch interrupt is outstanding
   double batch_next_fire_ = 0;    // its fire time
-  std::unordered_set<uint16_t> nobatch_ports_;
   uint64_t rx_batch_dispatches_ = 0;
   uint64_t rx_batch_frames_ = 0;
 
@@ -343,8 +343,7 @@ class NicDevice {
   bool tx_burst_open_ = false;
   std::vector<StagedTx> tx_staged_;
 
-  std::unordered_map<uint16_t, std::shared_ptr<RingHost>> rings_;
-  std::unordered_map<uint16_t, std::function<void()>> hooks_;
+  std::unordered_map<uint16_t, FlowSpec> flows_;  // each flow's host record
   WaitQueue tx_waiters_;
   std::mt19937 rng_;
   std::uniform_real_distribution<double> uni_{0.0, 1.0};

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "src/machine/assembler.h"
 #include "src/net/frame.h"
@@ -75,40 +76,13 @@ NicPool::NicPool(Kernel& kernel, NicPoolConfig config)
   WriteDescriptor();
 
   // The generic steering loop is installed exactly once: it reloads the pool
-  // geometry (NIC count, cell table, pin table) from the descriptor on every
-  // packet, so any later AddNic or pin change is already covered — the
-  // defining property (and cost) of the layered path.
+  // geometry (NIC count, cell table) from the descriptor on every packet, so
+  // any later AddNic is already covered — the defining property (and cost)
+  // of the layered path. The dst-port hash is reduced by repeated
+  // subtraction (no divider).
   SynthesisOptions verbatim = SynthesisOptions::Disabled();
   Asm g("pool_steer_gen");
   g.Load32(kD0, kA1, FrameLayout::kDstPort);
-  g.Load32(kD1, kA1, FrameLayout::kSrcPort);
-  // Pin-table walk: a (dst, src) match routes through the pinned owner's
-  // inner cell. Entries are 16 B = 4 words; LoadIdx32 scales the index by 4,
-  // so the cursor d3 advances in word units.
-  g.LoadA32(kD6, static_cast<int32_t>(desc_ + kPinCountOff));
-  g.MoveI(kD3, 0);
-  g.Label("ploop");
-  g.Tst(kD6);
-  g.Beq("hash");
-  g.LoadIdx32(kD7, kD3, static_cast<int32_t>(desc_ + kPinBaseOff));
-  g.Cmp(kD7, kD0);
-  g.Bne("pnext");
-  g.Lea(kD4, kD3, 1);
-  g.LoadIdx32(kD7, kD4, static_cast<int32_t>(desc_ + kPinBaseOff));
-  g.Cmp(kD7, kD1);
-  g.Bne("pnext");
-  g.Lea(kD4, kD3, 2);
-  g.LoadIdx32(kD7, kD4, static_cast<int32_t>(desc_ + kPinBaseOff));
-  g.Move(kA2, kD7);
-  g.Load32(kD7, kA2, 0);  // the pinned NIC's current demux
-  g.JsrInd(kD7);
-  g.Rts();
-  g.Label("pnext");
-  g.AddI(kD3, 4);
-  g.SubI(kD6, 1);
-  g.Bra("ploop");
-  // Hash stage: dst-port hash reduced by repeated subtraction (no divider).
-  g.Label("hash");
   g.MoveI(kA2, static_cast<int32_t>(desc_));
   g.Move(kD7, kD0);
   g.LsrI(kD7, 8);
@@ -187,34 +161,6 @@ uint32_t NicPool::SteerOf(uint16_t port) const {
   return h % static_cast<uint32_t>(nics_.size());
 }
 
-uint32_t NicPool::PinSteerOf(uint16_t port, uint16_t peer) const {
-  // Both halves of the connection 5-tuple feed the placement, so many
-  // connections to one well-known port spread across the pool.
-  uint32_t h = static_cast<uint32_t>(port) * 31u + peer;
-  h = (h ^ (h >> 8)) & 255u;
-  return h % static_cast<uint32_t>(nics_.size());
-}
-
-const NicPool::Binding* NicPool::BindingOf(uint16_t port) const {
-  auto it = bindings_.find(port);
-  return it == bindings_.end() ? nullptr : &it->second;
-}
-
-uint32_t NicPool::OwnerOf(uint16_t port) const {
-  const Binding* b = BindingOf(port);
-  return b != nullptr ? b->owner : SteerOf(port);
-}
-
-uint32_t NicPool::RouteOf(uint16_t dst_port, uint16_t src_port) const {
-  // Host twin of the emitted routing: the pin stage matches (dst, src)
-  // exactly; anything else falls through to the dst hash.
-  const Binding* b = BindingOf(dst_port);
-  if (b != nullptr && (!b->pinned || b->spec.pin_peer == src_port)) {
-    return b->owner;
-  }
-  return SteerOf(dst_port);
-}
-
 void NicPool::WriteDescriptor() {
   Memory& mem = kernel_.machine().memory();
   mem.Write32(desc_, size());
@@ -222,18 +168,7 @@ void NicPool::WriteDescriptor() {
     mem.Write32(desc_ + 4 + 4 * i,
                 i < size() ? nics_[i]->inner_cell_addr() : 0);
   }
-  const uint32_t pins = pinned_count();
-  for (uint32_t i = 0; i < pins; i++) {
-    const Binding& b = bindings_.at(pins_[i]);
-    Addr e = desc_ + kPinBaseOff + i * kPinEntryBytes;
-    mem.Write32(e + 0, pins_[i]);
-    mem.Write32(e + 4, b.spec.pin_peer);
-    mem.Write32(e + 8, nics_[b.owner]->inner_cell_addr());
-    mem.Write32(e + 12, 0);
-  }
-  mem.Write32(desc_ + kPinCountOff, pins);
-  kernel_.machine().Charge(8 + 4 * (kMaxNics + 4 * pins), 2,
-                           1 + kMaxNics + 4 * pins);
+  kernel_.machine().Charge(8 + 4 * kMaxNics, 2, 1 + kMaxNics);
 }
 
 void NicPool::EmitSteering() {
@@ -241,7 +176,7 @@ void NicPool::EmitSteering() {
     SpecDesc sd;
     sd.name = "pool_steer";
     sd.generic = steer_generic_;
-    sd.adaptive = false;   // re-folded on geometry/pin change, not on heat
+    sd.adaptive = false;   // re-folded on geometry change, not on heat
     sd.evictable = false;  // one pool-wide block; eviction fodder lives below
     sd.emit = [this](SpecTier) { return BuildSteering(); };
     sd.install = [this](BlockId blk, SpecTier tier, bool refused) {
@@ -262,24 +197,6 @@ BlockId NicPool::BuildSteering() {
 
   Asm a(name);
   a.Load32(kD0, kA1, FrameLayout::kDstPort);
-  // Pin stage: each pinned connection folds to two immediate compares and a
-  // direct jump through the owner's inner cell (Factoring Invariants — the
-  // pin table IS the code).
-  if (!pins_.empty()) {
-    a.Load32(kD1, kA1, FrameLayout::kSrcPort);
-  }
-  for (uint32_t i = 0; i < pinned_count(); i++) {
-    const uint16_t port = pins_[i];
-    const Binding& b = bindings_.at(port);
-    const std::string next = "p" + std::to_string(i);
-    a.CmpI(kD0, static_cast<int32_t>(port));
-    a.Bne(next);
-    a.CmpI(kD1, static_cast<int32_t>(b.spec.pin_peer));
-    a.Bne(next);
-    a.LoadA32(kD7, static_cast<int32_t>(nics_[b.owner]->inner_cell_addr()));
-    a.JmpInd(kD7);
-    a.Label(next);
-  }
   a.Move(kD7, kD0);
   a.LsrI(kD7, 8);
   a.Xor(kD0, kD7);
@@ -687,29 +604,28 @@ bool NicPool::AddNic() {
     return false;
   }
   AppendNic();
-  // Rebind flows whose hash or pin placement moved, in port order so the
-  // migration replays identically. The flow's processors (the stream layer's
-  // CCB-absolute segment code) are NIC-agnostic and move by reference; only
-  // cells on the affected NICs change.
-  std::vector<uint16_t> ports;
-  ports.reserve(bindings_.size());
-  for (const auto& [port, b] : bindings_) {
-    ports.push_back(port);
-  }
-  std::sort(ports.begin(), ports.end());
-  for (uint16_t port : ports) {
-    Binding& b = bindings_.at(port);
-    uint32_t owner =
-        b.pinned ? PinSteerOf(port, b.spec.pin_peer) : SteerOf(port);
-    if (owner == b.owner) {
-      continue;
+  // Rebind flows whose hash moved, in port order so the migration replays
+  // identically, each from the record its old NIC kept. The flow's
+  // processors (the stream layer's CCB-absolute segment code) are
+  // NIC-agnostic and move by reference; only cells on the affected NICs
+  // change.
+  std::vector<std::pair<uint16_t, uint32_t>> moved;  // (port, old NIC)
+  for (uint32_t i = 0; i < size(); i++) {
+    for (const auto& [port, spec] : nics_[i]->flows()) {
+      if (SteerOf(port) != i) {
+        moved.emplace_back(port, i);
+      }
     }
-    bool ok = nics_[b.owner]->UnbindFlow(port) && BindOn(owner, b.spec);
+  }
+  std::sort(moved.begin(), moved.end());
+  for (const auto& [port, from] : moved) {
+    FlowSpec spec = nics_[from]->flows().at(port);
+    bool ok = nics_[from]->UnbindFlow(port) &&
+              nics_[SteerOf(port)]->BindFlow(std::move(spec));
     assert(ok);
     (void)ok;
-    b.owner = owner;
   }
-  WriteDescriptor();  // after migration: pin entries name their new owners
+  WriteDescriptor();
   EmitSteering();
   EmitDispatch();
   ApplySteering();
@@ -727,81 +643,44 @@ void NicPool::UseSynthesizedDemux(bool on) {
   }
 }
 
-bool NicPool::BindOn(uint32_t idx, const FlowSpec& spec) {
-  return nics_[idx]->BindFlow(spec);
-}
-
-// Flow operations touch only tables: the owning NIC's demux cell, the
-// bound-port bitmap, and (for pinned flows) the pin table the steering block
-// is folded from. Neither the demux nor the shed filter is re-emitted.
+// Flow operations touch only tables: the owning NIC's demux cell and the
+// bound-port bitmap. None of steering, the demux or the shed filter is
+// re-emitted.
 bool NicPool::BindFlow(FlowSpec spec) {
-  if (HasFlow(spec.port)) {
+  const uint16_t port = spec.port;
+  if (HasFlow(port) || !nic(SteerOf(port)).BindFlow(std::move(spec))) {
     return false;
-  }
-  Binding b;
-  // A full pin table degrades to hash placement — correct, just unbalanced.
-  b.pinned = spec.pin && CanPin();
-  spec.pin = b.pinned;
-  b.owner =
-      b.pinned ? PinSteerOf(spec.port, spec.pin_peer) : SteerOf(spec.port);
-  b.spec = std::move(spec);
-  if (!BindOn(b.owner, b.spec)) {
-    return false;
-  }
-  const uint16_t port = b.spec.port;
-  const bool pinned = b.pinned;
-  bindings_.emplace(port, std::move(b));
-  if (pinned) {
-    pins_.push_back(port);
-    WriteDescriptor();
-    EmitSteering();
   }
   WriteShedBit(port, true);
   return true;
 }
 
 bool NicPool::RebindFlow(uint16_t port, BlockId synth_deliver) {
-  auto it = bindings_.find(port);
-  if (it == bindings_.end()) {
-    return false;
-  }
-  it->second.spec.synth_deliver = synth_deliver;  // a migration rebinds it
-  return nics_[it->second.owner]->RebindFlow(port, synth_deliver);
+  return nic(SteerOf(port)).RebindFlow(port, synth_deliver);
 }
 
 bool NicPool::UnbindFlow(uint16_t port) {
-  auto it = bindings_.find(port);
-  if (it == bindings_.end()) {
+  if (!nic(SteerOf(port)).UnbindFlow(port)) {
     return false;
   }
-  const bool was_pinned = it->second.pinned;
-  const bool ok = nics_[it->second.owner]->UnbindFlow(port);
-  bindings_.erase(it);
-  if (was_pinned) {
-    pins_.erase(std::find(pins_.begin(), pins_.end(), port));
-    WriteDescriptor();
-    EmitSteering();
-  }
   WriteShedBit(port, false);
-  return ok;
+  return true;
 }
 
 bool NicPool::Transmit(uint16_t dst_port, uint16_t src_port,
                        const uint8_t* payload, uint32_t n) {
-  return nic(RouteOf(dst_port, src_port)).Transmit(dst_port, src_port,
-                                                   payload, n);
+  return nic(SteerOf(dst_port)).Transmit(dst_port, src_port, payload, n);
 }
 
 bool NicPool::TransmitV(uint16_t dst_port, uint16_t src_port,
                         const SendSpan* spans, uint32_t nspans) {
-  return nic(RouteOf(dst_port, src_port)).TransmitV(dst_port, src_port,
-                                                    spans, nspans);
+  return nic(SteerOf(dst_port)).TransmitV(dst_port, src_port, spans, nspans);
 }
 
 void NicPool::InjectRaw(uint32_t dst_port, uint32_t src_port,
                         const uint8_t* payload, uint32_t n, uint32_t checksum,
                         uint32_t length_field) {
-  nic(RouteOf(static_cast<uint16_t>(dst_port), static_cast<uint16_t>(src_port)))
+  nic(SteerOf(static_cast<uint16_t>(dst_port)))
       .InjectRaw(dst_port, src_port, payload, n, checksum, length_field);
 }
 

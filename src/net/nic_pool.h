@@ -7,27 +7,20 @@
 //  * The STEERING block sits in each NIC's outer demux cell. It hashes the
 //    destination port and tail-jumps through the owning NIC's *inner* demux
 //    cell. It exists twice, same contract as the demux (a1 = frame, returns
-//    d0/d2): a GENERIC routine that reloads the pool geometry (N, the cell
-//    table, the pin table) from memory and reduces the hash by a subtract
-//    loop every packet — the layered baseline, installed once and valid for
-//    any geometry — and a SYNTHESIZED routine re-emitted whenever the
-//    geometry or the pin set changes, with the table base folded to an
-//    immediate and the modulo folded to a single shift+mask when N is a
-//    power of two (Factoring Invariants).
-//
-//  * A PIN stage ahead of the hash: connection flows registered with a known
-//    peer are pinned to a NIC chosen from the (src, dst) pair, so many
-//    connections to one service port spread across devices instead of the
-//    port's hash pinning them all to one. Synthesized form: a compare chain
-//    on (dst, src) immediates jumping straight through the owner's inner
-//    cell; generic form: a pin-table walk in the descriptor.
+//    d0/d2): a GENERIC routine that reloads the pool geometry (N and the cell
+//    table) from memory and reduces the hash by a subtract loop every packet
+//    — the layered baseline, installed once and valid for any geometry — and
+//    a SYNTHESIZED routine re-emitted only when the geometry changes, with
+//    the table base folded to an immediate and the modulo folded to a single
+//    shift+mask when N is a power of two (Factoring Invariants).
 //
 //  * Each NIC keeps its real demux id flowing into its inner cell, and each
 //    demux is an install-once lookup through a port-indexed cell table, so
 //    binds, unbinds and connection establishment re-emit neither steering
 //    nor demux: they rewrite words of executable data structures in place.
-//    Host-side, the pool keeps a port-keyed index of its bindings and the
-//    pinned ports in bind order, so no flow operation scans the flow set.
+//    A flow's NIC is a pure function of its port (SteerOf), so the pool
+//    keeps no host index of its own: the owning NIC holds each flow's one
+//    record, and every flow operation and transmit routes by the hash.
 //
 //  * One DISPATCH shim per interrupt vector (installed once, so TTE vector
 //    snapshots stay valid) jumps through a dispatch cell to a re-emitted
@@ -61,7 +54,7 @@
 // ablation: installed once, it reloads the shed level from memory on every
 // frame and tests the same bitmap.
 //
-// Growing the pool (AddNic) migrates flows whose hash (or pin) moved,
+// Growing the pool (AddNic) migrates flows whose hash moved,
 // re-emits the steering + dispatch blocks, retires the old ones, and leaves
 // per-flow processors (the stream layer's CCB-absolute segment code)
 // untouched.
@@ -71,7 +64,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/io/gauge.h"
@@ -102,8 +94,6 @@ struct NicPoolConfig {
 class NicPool {
  public:
   static constexpr uint32_t kMaxNics = 8;
-  // Pool-wide cap on pinned connection flows (the descriptor's pin table).
-  static constexpr uint32_t kMaxPins = 32;
 
   explicit NicPool(Kernel& kernel, NicPoolConfig config = NicPoolConfig());
   ~NicPool();
@@ -111,22 +101,14 @@ class NicPool {
   uint32_t size() const { return static_cast<uint32_t>(nics_.size()); }
   NicDevice& nic(uint32_t i) { return *nics_[i]; }
 
-  // The host twin of the emitted dst-port hash: which NIC an *unpinned* flow
-  // on `port` lands on.
+  // The host twin of the emitted dst-port hash: which NIC the flow on `port`
+  // lives on, and which NIC frames to `port` enter and leave through.
   uint32_t SteerOf(uint16_t port) const;
-  // The host twin of the pin placement: which NIC a connection flow
-  // (local `port`, known `peer`) is pinned to.
-  uint32_t PinSteerOf(uint16_t port, uint16_t peer) const;
-  // Where the flow for `port` actually lives (pin-aware; SteerOf for
-  // unbound ports). O(1), like every port query below.
-  uint32_t OwnerOf(uint16_t port) const;
-  // Whether the pin table has room for another pinned connection flow.
-  bool CanPin() const { return pinned_count() < kMaxPins; }
   // The demux that will see frames for `port` (the owning NIC's).
-  DemuxSynthesizer& demux_of(uint16_t port) { return nic(OwnerOf(port)).demux(); }
+  DemuxSynthesizer& demux_of(uint16_t port) { return nic(SteerOf(port)).demux(); }
 
-  // Grows the pool by one NIC: rebinds flows whose hash or pin moved, updates
-  // the geometry descriptor, re-emits steering + dispatch. Returns false at
+  // Grows the pool by one NIC: rebinds flows whose hash moved, updates the
+  // geometry descriptor, re-emits steering + dispatch. Returns false at
   // kMaxNics. Per-flow custom processors survive untouched.
   bool AddNic();
 
@@ -172,19 +154,19 @@ class NicPool {
 
   // --- Flow operations, routed to the owning NIC -----------------------------
   // One entry point for every flavor of flow: plain fixed/flex ring flows,
-  // custom per-connection processors, (src, dst)-pinned placement, batch
-  // opt-out — all described by the FlowSpec. A full pin table degrades to
-  // hash placement (correct, just unbalanced).
+  // custom per-connection processors, batch opt-out — all described by the
+  // FlowSpec.
   bool BindFlow(FlowSpec spec);
   // Swaps an existing custom flow's synthesized processor (connection
   // re-synthesis after a rate change); the generic twin stays.
   bool RebindFlow(uint16_t port, BlockId synth_deliver);
   bool UnbindFlow(uint16_t port);
-  bool HasFlow(uint16_t port) const { return bindings_.count(port) != 0; }
+  bool HasFlow(uint16_t port) const {
+    return nics_[SteerOf(port)]->demux().HasFlow(port);
+  }
 
   // Frames enter and leave through the owning NIC, so loopback delivery always
-  // lands where the flow is bound. Routing is pin-aware: a frame whose
-  // (dst, src) matches a pinned connection goes to the pinned NIC.
+  // lands where the flow is bound.
   bool Transmit(uint16_t dst_port, uint16_t src_port, const uint8_t* payload,
                 uint32_t n);
   // Scatter/gather transmit, routed like Transmit: spans gathered straight
@@ -192,18 +174,15 @@ class NicPool {
   bool TransmitV(uint16_t dst_port, uint16_t src_port, const SendSpan* spans,
                  uint32_t nspans);
   // Burst bracket for a run of sends to one destination (one doorbell on the
-  // owning NIC; no-ops unless that NIC has TX coalescing on). The route is
-  // per-destination, so a burst brackets frames that share a route.
-  void BeginTxBurst(uint16_t dst_port, uint16_t src_port = 0) {
-    nic(RouteOf(dst_port, src_port)).BeginTxBurst();
-  }
-  void CommitTxBurst(uint16_t dst_port, uint16_t src_port = 0) {
-    nic(RouteOf(dst_port, src_port)).CommitTxBurst();
+  // owning NIC; no-ops unless that NIC has TX coalescing on).
+  void BeginTxBurst(uint16_t dst_port) { nic(SteerOf(dst_port)).BeginTxBurst(); }
+  void CommitTxBurst(uint16_t dst_port) {
+    nic(SteerOf(dst_port)).CommitTxBurst();
   }
   void InjectRaw(uint32_t dst_port, uint32_t src_port, const uint8_t* payload,
                  uint32_t n, uint32_t checksum, uint32_t length_field);
-  WaitQueue& tx_waiters(uint16_t dst_port, uint16_t src_port = 0) {
-    return nic(RouteOf(dst_port, src_port)).tx_waiters();
+  WaitQueue& tx_waiters(uint16_t dst_port) {
+    return nic(SteerOf(dst_port)).tx_waiters();
   }
   // Installed on every member NIC (current and future): runs after each TX
   // completion retires, so layers above can replay sends deferred on a full
@@ -229,28 +208,13 @@ class NicPool {
   AggregateStats Aggregate();
 
  private:
-  // Everything needed to rebind a flow on a different NIC when the hash moves:
-  // the spec as bound, plus placement state the pool owns.
-  struct Binding {
-    FlowSpec spec;
-    bool pinned = false;  // spec.pin accepted — the pin table had room
-    uint32_t owner = 0;   // NIC index the flow is currently bound on
-  };
-
   // Descriptor layout (simulated memory, read by the generic steering loop):
   //   [0]                       live NIC count
   //   [4 .. 4+4*kMaxNics)       inner demux cell address per NIC
-  //   [kPinCountOff]            live pin count
-  //   [kPinBaseOff ...]         kMaxPins entries of 16 B: local, peer,
-  //                             owner's inner cell address, pad
-  static constexpr uint32_t kPinCountOff = 4 + 4 * kMaxNics;
-  static constexpr uint32_t kPinBaseOff = kPinCountOff + 4;
-  static constexpr uint32_t kPinEntryBytes = 16;
-  static constexpr uint32_t kDescBytes =
-      kPinBaseOff + kMaxPins * kPinEntryBytes;
+  static constexpr uint32_t kDescBytes = 4 + 4 * kMaxNics;
 
   void AppendNic();
-  void WriteDescriptor();   // N + cell table + pin table, for the generic loop
+  void WriteDescriptor();   // N + cell table, for the generic loop
   // Re-specialization entry points. Each registers a Specializer handle on
   // first use and routes every later change through Reemit: the Specializer
   // emits via the Build* callback, retires the displaced block, and the
@@ -271,16 +235,10 @@ class NicPool {
   void EnterShedLevel(uint32_t lvl);
   void MirrorShedCounters();
   void ApplySteering();     // points outer cells at filter or steering
-  bool BindOn(uint32_t idx, const FlowSpec& spec);
-  const Binding* BindingOf(uint16_t port) const;
-  uint32_t RouteOf(uint16_t dst_port, uint16_t src_port) const;
-  uint32_t pinned_count() const { return static_cast<uint32_t>(pins_.size()); }
 
   Kernel& kernel_;
   NicPoolConfig config_;
   std::vector<std::unique_ptr<NicDevice>> nics_;
-  std::unordered_map<uint16_t, Binding> bindings_;  // keyed by local port
-  std::vector<uint16_t> pins_;  // pinned ports in bind order (<= kMaxPins)
 
   Addr desc_ = 0;
   BlockId steer_generic_ = kInvalidBlock;   // installed once, never a handle

@@ -163,11 +163,6 @@ uint16_t DatagramSocketLayer::PortOf(SocketId sock) const {
   return it == socks_.end() ? 0 : it->second.port;
 }
 
-ChannelId DatagramSocketLayer::ChannelOf(SocketId sock) const {
-  auto it = socks_.find(sock);
-  return it == socks_.end() ? kBadChannel : it->second.ch;
-}
-
 std::shared_ptr<RingHost> DatagramSocketLayer::RingOf(SocketId sock) const {
   auto it = socks_.find(sock);
   return it == socks_.end() ? nullptr : it->second.ring;

@@ -47,9 +47,6 @@ class DatagramSocketLayer {
   bool CloseSocket(SocketId sock);
 
   uint16_t PortOf(SocketId sock) const;
-  // The channel backing a bound socket's receive ring (tests disassemble its
-  // synthesized read code).
-  ChannelId ChannelOf(SocketId sock) const;
   // The bound socket's receive ring (null when unbound) — pollable via
   // IoSystem::RingAvail for non-blocking clients.
   std::shared_ptr<RingHost> RingOf(SocketId sock) const;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "src/machine/assembler.h"
 
@@ -54,6 +56,12 @@ constexpr uint32_t kMaxProbesPerSweep = 8;
 // reaps dead peers, just later; an unbounded stretch would let one pathological
 // cycle turn the reaper off in all but name.
 constexpr uint32_t kMaxSweepStretch = 16;
+
+// Narrows a 64-bit host counter into the post-mortem record, saturating.
+uint32_t Saturate32(uint64_t v) {
+  return static_cast<uint32_t>(
+      std::min<uint64_t>(v, std::numeric_limits<uint32_t>::max()));
+}
 
 // The GENERIC segment processor, shared by every connection: the layered
 // baseline. Called from the generic demux's handler dispatch with a1 = frame,
@@ -496,9 +504,24 @@ const StreamLayer::Conn* StreamLayer::Get(ConnId id) const {
   return it == conns_.end() ? nullptr : &it->second;
 }
 
+StreamStats StreamLayer::Ended::Stats() const {
+  StreamStats s;
+  s.retransmits = retransmits;
+  s.timeouts = timeouts;
+  s.fast_retransmits = fast_retransmits;
+  s.dup_acks = dup_acks;
+  s.out_of_order = out_of_order;
+  s.accepted_segments = accepted_segments;
+  s.rto_us = rto_us;
+  s.cwnd = cwnd;
+  s.state = state;
+  s.rcv_nxt = rcv_nxt;
+  return s;
+}
+
 const StreamLayer::Ended* StreamLayer::EndedOf(ConnId id) const {
   if (id == kBadConn || id > ended_.size() ||
-      ended_[id - 1].stats.state == CcbLayout::kClosed) {
+      ended_[id - 1].state == CcbLayout::kClosed) {
     return nullptr;
   }
   return &ended_[id - 1];
@@ -519,7 +542,7 @@ void StreamLayer::CompactReclaimed() {
     if (ended_.size() < id) {
       ended_.resize(id);
     }
-    ended_[id - 1] = Ended{c.final_stats, c.local_port, c.degraded};
+    ended_[id - 1] = c.ended;
     conns_.erase(it);
   }
   reclaimed_.resize(kept);
@@ -547,8 +570,7 @@ void StreamLayer::UpdateSweepWatch(Conn& c) {
 ConnId StreamLayer::NewConn(uint16_t local_port, uint16_t peer_port,
                             uint32_t state, const StreamConfig& cfg) {
   CompactReclaimed();
-  if (local_port == 0 || pool_.HasFlow(local_port) ||
-      ports_in_use_.count(local_port) != 0) {
+  if (local_port == 0 || pool_.HasFlow(local_port)) {
     return kBadConn;
   }
   ConnId id = next_id_++;
@@ -581,32 +603,15 @@ ConnId StreamLayer::NewConn(uint16_t local_port, uint16_t peer_port,
     open_fail_gauge_.Count();
     return kBadConn;
   }
-  c.path = "/net/tcp/" + std::to_string(local_port);
-  io_.RegisterRingDevice(c.path, c.ring, nullptr);
-  c.ch = io_.Open(c.path);  // synthesizes the per-channel ring read
-  if (c.ch == kBadChannel) {
-    io_.UnregisterRingDevice(c.path);
-    kernel_.allocator().Free(c.ring->base);
-    kernel_.allocator().Free(c.ccb);
-    open_fail_gauge_.Count();
-    return kBadConn;
-  }
   c.cwnd = cfg.window_segments;
   c.rto_us = cfg.rto_base_us;
   c.last_activity_ticks = TimerTicks(kernel_.NowUs());
   ScheduleProbe(c);
   SetState(c, state);
-  // A connection with a known peer can pin to a NIC chosen from the
-  // (local, peer) pair; listeners hash, as does everything once the pool's
-  // pin table is full. The generic processor must be bound to the NIC that
-  // will actually own the flow.
-  const bool pin = cfg.pin_to_nic && peer_port != 0 && pool_.CanPin();
-  uint32_t owner = pin ? pool_.PinSteerOf(local_port, peer_port)
-                       : pool_.SteerOf(local_port);
+  // The generic processor must be bound to the NIC that will own the flow.
+  const uint32_t owner = pool_.SteerOf(local_port);
   BlockId generic = GenericProcFor(owner);
   if (generic == kInvalidBlock) {
-    io_.UnregisterRingDevice(c.path);
-    io_.Close(c.ch);
     kernel_.allocator().Free(c.ring->base);
     kernel_.allocator().Free(c.ccb);
     open_fail_gauge_.Count();
@@ -623,8 +628,6 @@ ConnId StreamLayer::NewConn(uint16_t local_port, uint16_t peer_port,
     if (ref.alarm_stub != kInvalidBlock) {
       kernel_.RetireBlock(ref.alarm_stub);
     }
-    io_.UnregisterRingDevice(ref.path);
-    io_.Close(ref.ch);
     kernel_.allocator().Free(ref.ring->base);
     kernel_.allocator().Free(ref.ccb);
     conns_.erase(it);
@@ -685,13 +688,10 @@ ConnId StreamLayer::NewConn(uint16_t local_port, uint16_t peer_port,
   flow.synth_deliver = ref.synth_deliver;
   flow.generic_deliver = generic;
   flow.deliver_hook = [this, id] { OnDeliver(id); };
-  flow.pin = pin;
-  flow.pin_peer = peer_port;
   if (!pool_.BindFlow(std::move(flow))) {
     unwind();
     return kBadConn;
   }
-  ports_in_use_.insert(local_port);
   if (ref.degraded) {
     ArmSweep();
   }
@@ -704,16 +704,16 @@ ConnId StreamLayer::Listen(uint16_t port, StreamConfig cfg) {
 
 // One pass over the ephemeral range [kEphemeralBase, 65535], wrapping past
 // 65535 back to the base (never into the well-known ports below), skipping
-// anything with a live demux flow (listeners, datagram sockets, established
-// connections) or a stream connection still holding the port (in-handshake
-// or draining). Returns 0 when every candidate is taken.
+// anything with a live demux flow: listeners, datagram sockets, and every
+// stream connection until it is reclaimed (it holds its flow from open to
+// reclaim). Returns 0 when every candidate is taken.
 uint16_t StreamLayer::AllocateEphemeral() {
   const uint32_t span = static_cast<uint32_t>(eph_hi_) - eph_base_ + 1;
   for (uint32_t i = 0; i < span; i++) {
     uint16_t p = next_ephemeral_;
     next_ephemeral_ = next_ephemeral_ == eph_hi_ ? eph_base_
                                                  : next_ephemeral_ + 1;
-    if (!pool_.HasFlow(p) && ports_in_use_.count(p) == 0) {
+    if (!pool_.HasFlow(p)) {
       return p;
     }
   }
@@ -817,7 +817,7 @@ void StreamLayer::OnTxDrain() {
     c->wnd_deferred = false;
     if (wnd) {
       bool replayed = true;
-      pool_.BeginTxBurst(c->peer_port, c->local_port);
+      pool_.BeginTxBurst(c->peer_port);
       for (const Seg& s : c->unacked) {
         if (!TransmitSeg(*c, s)) {
           DeferWindow(*c);
@@ -825,7 +825,7 @@ void StreamLayer::OnTxDrain() {
           break;
         }
       }
-      pool_.CommitTxBurst(c->peer_port, c->local_port);
+      pool_.CommitTxBurst(c->peer_port);
       if (replayed) {
         PushWindow(*c);
         kernel_.UnblockAll(c->senders);
@@ -851,7 +851,7 @@ void StreamLayer::PushWindow(Conn& c) {
   }
   // One doorbell for the whole push when the NIC coalesces TX completions
   // (a no-op bracket otherwise).
-  pool_.BeginTxBurst(c.peer_port, c.local_port);
+  pool_.BeginTxBurst(c.peer_port);
   while (c.state == CcbLayout::kEstablished && !c.pending.empty() &&
          c.unacked.size() < c.cwnd) {
     Seg s;
@@ -886,7 +886,7 @@ void StreamLayer::PushWindow(Conn& c) {
       DeferWindow(c);
     }
   }
-  pool_.CommitTxBurst(c.peer_port, c.local_port);
+  pool_.CommitTxBurst(c.peer_port);
   if (!c.unacked.empty() && !c.timer_armed) {
     ArmTimer(c);
   }
@@ -960,7 +960,7 @@ void StreamLayer::OnTimer(ConnId id) {
   // the lost segment was discarded — resend the whole outstanding window, as
   // one burst. A full ring cuts the replay short; the drain hook finishes it
   // (only actually-transmitted segments count as retransmits).
-  pool_.BeginTxBurst(c->peer_port, c->local_port);
+  pool_.BeginTxBurst(c->peer_port);
   for (const Seg& s : c->unacked) {
     if (!TransmitSeg(*c, s)) {
       DeferWindow(*c);
@@ -969,7 +969,7 @@ void StreamLayer::OnTimer(ConnId id) {
     c->retransmits++;
     retransmit_gauge_.Count();
   }
-  pool_.CommitTxBurst(c->peer_port, c->local_port);
+  pool_.CommitTxBurst(c->peer_port);
   ArmTimer(*c);
 }
 
@@ -1563,27 +1563,30 @@ void StreamLayer::MaybeReclaim(Conn& c) {
 }
 
 // Returns every kernel resource a connection synthesis created: the flow, the
-// device namespace entry and channel, the segment processor, the alarm stub
-// (unless an alarm is still in flight — the stub's code-store slot must stay
-// its own until the last raised alarm has dispatched), the CCB and the ring.
-// Block frees go through the kernel's deferred retire queue so code that may
-// still be on an executor's path is never freed mid-run. The host record
-// survives with a stats snapshot for post-mortem queries.
+// segment processor, the alarm stub (unless an alarm is still in flight — the
+// stub's code-store slot must stay its own until the last raised alarm has
+// dispatched), the CCB and the ring. Block frees go through the kernel's
+// deferred retire queue so code that may still be on an executor's path is
+// never freed mid-run. The host record survives with its post-mortem record
+// for later queries.
 void StreamLayer::ReclaimConn(Conn& c) {
   if (c.reclaimed) {
     return;
   }
   Memory& mem = kernel_.machine().memory();
-  c.final_stats.retransmits = c.retransmits;
-  c.final_stats.timeouts = c.timeouts;
-  c.final_stats.fast_retransmits = c.fast_retransmits;
-  c.final_stats.dup_acks = mem.Read32(c.ccb + CcbLayout::kDupAcks);
-  c.final_stats.out_of_order = mem.Read32(c.ccb + CcbLayout::kOoo);
-  c.final_stats.accepted_segments = mem.Read32(c.ccb + CcbLayout::kAccepted);
-  c.final_stats.rto_us = c.rto_us;
-  c.final_stats.cwnd = c.cwnd;
-  c.final_stats.state = c.state;
-  c.final_stats.rcv_nxt = mem.Read32(c.ccb + CcbLayout::kRcvNxt);
+  Ended& e = c.ended;
+  e.rto_us = c.rto_us;
+  e.retransmits = Saturate32(c.retransmits);
+  e.timeouts = Saturate32(c.timeouts);
+  e.fast_retransmits = Saturate32(c.fast_retransmits);
+  e.dup_acks = mem.Read32(c.ccb + CcbLayout::kDupAcks);
+  e.out_of_order = mem.Read32(c.ccb + CcbLayout::kOoo);
+  e.accepted_segments = mem.Read32(c.ccb + CcbLayout::kAccepted);
+  e.rcv_nxt = mem.Read32(c.ccb + CcbLayout::kRcvNxt);
+  e.cwnd = c.cwnd;
+  e.local_port = c.local_port;
+  e.state = static_cast<uint8_t>(c.state);
+  e.degraded = c.degraded;
   c.reclaimed = true;
   reclaimed_.push_back(c.id);
   sweep_watch_.erase(c.id);
@@ -1592,10 +1595,6 @@ void StreamLayer::ReclaimConn(Conn& c) {
   c.wnd_deferred = false;
 
   pool_.UnbindFlow(c.local_port);
-  ports_in_use_.erase(c.local_port);
-  io_.UnregisterRingDevice(c.path);
-  io_.Close(c.ch);
-  c.ch = kBadChannel;
   // Retiring the handles releases whatever blocks they own through deferred
   // retirement (a degraded handle owns nothing — its active block aliases
   // the shared generic walk). The probe stub may still be chained for this
@@ -1640,7 +1639,7 @@ int32_t StreamLayer::Sendv(ConnId conn, const IoVec* iov, uint32_t iovcnt) {
     // tx_waiters — the completion that frees a slot wakes us after the drain
     // replay has run.
     if (kernel_.current_thread() != kNoThread) {
-      kernel_.BlockCurrentOn(pool_.tx_waiters(c->peer_port, c->local_port));
+      kernel_.BlockCurrentOn(pool_.tx_waiters(c->peer_port));
     }
     return kIoWouldBlock;
   }
@@ -1678,7 +1677,7 @@ int32_t StreamLayer::RecvSpan(ConnId conn, Addr buf, uint32_t cap) {
   Conn* c = Get(conn);
   if (c == nullptr) {
     const Ended* e = EndedOf(conn);
-    return e == nullptr || e->stats.state == CcbLayout::kFailed ? kIoError : 0;
+    return e == nullptr || e->state == CcbLayout::kFailed ? kIoError : 0;
   }
   if (c->state == CcbLayout::kFailed) {
     return kIoError;
@@ -1748,10 +1747,10 @@ StreamStats StreamLayer::Stats(ConnId conn) const {
   StreamStats s;
   if (c == nullptr) {
     const Ended* e = EndedOf(conn);
-    return e == nullptr ? s : e->stats;
+    return e == nullptr ? s : e->Stats();
   }
   if (c->reclaimed) {
-    return c->final_stats;
+    return c->ended.Stats();
   }
   Memory& mem = kernel_.machine().memory();
   s.retransmits = c->retransmits;
@@ -1772,7 +1771,7 @@ uint32_t StreamLayer::StateOf(ConnId conn) const {
     return c->state;
   }
   const Ended* e = EndedOf(conn);
-  return e == nullptr ? CcbLayout::kClosed : e->stats.state;
+  return e == nullptr ? CcbLayout::kClosed : e->state;
 }
 
 uint16_t StreamLayer::PortOf(ConnId conn) const {
@@ -1791,11 +1790,6 @@ Addr StreamLayer::CcbOf(ConnId conn) const {
 std::shared_ptr<RingHost> StreamLayer::RingOf(ConnId conn) const {
   const Conn* c = Get(conn);
   return c == nullptr ? nullptr : c->ring;
-}
-
-ChannelId StreamLayer::ChannelOf(ConnId conn) const {
-  const Conn* c = Get(conn);
-  return c == nullptr ? kBadChannel : c->ch;
 }
 
 BlockId StreamLayer::SynthDeliverOf(ConnId conn) const {

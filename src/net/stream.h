@@ -3,7 +3,8 @@
 // synthesized code).
 //
 // A connection is a quaject: a connection control block (CCB) in simulated
-// memory, a byte ring the paper's synthesized channel reads drain, and a
+// memory, a byte ring RecvSpan drains (the UNIX emulator's stream fds call
+// RecvSpan/Send directly; no I/O channel sits in between), and a
 // per-connection *segment processor* the packet demux jumps to. Like the
 // demux itself, the processor exists twice:
 //
@@ -70,7 +71,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "src/io/gauge.h"
@@ -156,11 +156,6 @@ struct StreamConfig {
   uint32_t max_retries = 8;      // per-segment; exceeded => connection fails
   uint32_t ring_bytes = 4096;    // receive ring capacity (power of two)
   uint32_t initial_seq = 0;      // first sequence number this side assigns
-  // Register the flow pinned by its (local, peer) pair on the NicPool, so
-  // many connections to one service port spread across devices instead of
-  // hashing onto one (see NicPool's PIN stage). Listeners (peer unknown at
-  // bind time) always hash.
-  bool pin_to_nic = false;
   // Idle-connection reaper. 0 disables (the default — a quiet connection is
   // not an error). When set, a connection that has delivered nothing for
   // keepalive_idle_us is probed with a 1-byte segment from already-acked
@@ -245,7 +240,6 @@ class StreamLayer {
   uint16_t PortOf(ConnId conn) const;
   Addr CcbOf(ConnId conn) const;
   std::shared_ptr<RingHost> RingOf(ConnId conn) const;
-  ChannelId ChannelOf(ConnId conn) const;
   // The current synthesized segment processor (re-emitted at establishment;
   // kInvalidBlock once the connection is reclaimed). For a degraded
   // connection this is the owning demux's shared generic walk.
@@ -313,6 +307,31 @@ class StreamLayer {
     }
   };
 
+  // A reclaimed connection's post-mortem record: what the accessors still
+  // answer once its kernel resources are gone. ReclaimConn fills it; the
+  // next Listen/Connect compacts the full Conn (its deques and wait queue
+  // keep ~2.5 KB of heap nodes even when empty) down to this record alone,
+  // so connection churn grows host memory by 48 bytes per connection ever
+  // opened. The host counters narrow with saturation; the CCB counters are
+  // 32-bit words already.
+  struct Ended {
+    double rto_us = 0;
+    uint32_t retransmits = 0;
+    uint32_t timeouts = 0;
+    uint32_t fast_retransmits = 0;
+    uint32_t dup_acks = 0;
+    uint32_t out_of_order = 0;
+    uint32_t accepted_segments = 0;
+    uint32_t rcv_nxt = 0;
+    uint32_t cwnd = 0;
+    uint16_t local_port = 0;
+    uint8_t state = CcbLayout::kClosed;  // kClosed: no record (live or never)
+    bool degraded = false;
+
+    StreamStats Stats() const;  // widened back
+  };
+  static_assert(sizeof(Ended) <= 48, "an ended connection costs <= 48 bytes");
+
   struct Conn {
     ConnId id = 0;
     StreamConfig cfg;
@@ -321,8 +340,6 @@ class StreamLayer {
     uint32_t state = CcbLayout::kClosed;  // host mirror of CCB kState
     Addr ccb = 0;
     std::shared_ptr<RingHost> ring;
-    ChannelId ch = kBadChannel;
-    std::string path;
     BlockId synth_deliver = kInvalidBlock;
     BlockId alarm_stub = kInvalidBlock;
     // Specializer handles behind this connection's synthesized code: the
@@ -367,24 +384,13 @@ class StreamLayer {
     bool ack_deferred = false;
     bool wnd_deferred = false;
 
-    bool reclaimed = false;        // kernel resources returned; record is a
-    StreamStats final_stats;       // post-mortem snapshot only
+    bool reclaimed = false;  // kernel resources returned; `ended` answers
+    Ended ended;
 
     WaitQueue senders;
     uint64_t retransmits = 0;
     uint64_t timeouts = 0;
     uint64_t fast_retransmits = 0;
-  };
-
-  // A reclaimed connection after its full record is compacted away: what
-  // the accessors still answer for it, in under 100 bytes instead of the
-  // ~2.5 KB a Conn holds (its deques and wait queue keep heap nodes even
-  // when empty). Connection churn would otherwise grow host memory by every
-  // connection ever opened.
-  struct Ended {
-    StreamStats stats;  // stats.state == kClosed: no record (live or never)
-    uint16_t local_port = 0;
-    bool degraded = false;
   };
 
   Conn* Get(ConnId id);
@@ -481,7 +487,6 @@ class StreamLayer {
   std::map<ConnId, Conn> conns_;
   std::vector<ConnId> reclaimed_;  // reclaimed records not yet compacted
   std::deque<Ended> ended_;        // indexed by ConnId - 1
-  std::set<uint16_t> ports_in_use_;  // local ports of unreclaimed connections
   ConnId next_id_ = 1;
   uint16_t eph_base_ = kEphemeralBase;
   uint16_t eph_hi_ = 65535;

@@ -1,13 +1,15 @@
 // NicPool tests: the host steering hash vs the emitted steering blocks
 // (generic loop and specialized shift+mask, power-of-two and not), flow
-// migration + steering re-synthesis when the pool grows, the tagged interrupt
-// dispatch, and a live stream connection surviving AddNic mid-transfer.
+// migration + steering re-synthesis when the pool grows (placement follows
+// the hash at every size), the tagged interrupt dispatch, and a live stream
+// connection surviving AddNic mid-transfer.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <iterator>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/io/io_system.h"
@@ -193,6 +195,110 @@ TEST(NicPoolTest, StreamConnectionSurvivesPoolGrowthMidTransfer) {
       << "the grow itself must not cost a retransmission on a clean wire";
 }
 
+// A flow's NIC is a pure function of its port. From one NIC up to kMaxNics,
+// one grow at a time, every flow sits on SteerOf(port) and on no other NIC,
+// frames for every datagram port reach its ring under both steering
+// implementations, and only the grow itself re-emits steering: binds,
+// unbinds and rebinds never do. The stream pairs were established at N=1
+// (each establishment rebinds its processor), so a stale processor carried
+// across a migration would drop their bytes.
+TEST(NicPoolTest, PlacementFollowsTheHashAcrossEveryGrow) {
+  Kernel k;
+  IoSystem io(k, nullptr);
+  NicPoolConfig pc;
+  pc.initial_nics = 1;
+  NicPool pool(k, pc);
+  StreamLayer st(k, io, pool);
+  Memory& mem = k.machine().memory();
+  const uint32_t gen0 = pool.steering_generation();
+
+  std::vector<uint16_t> ports;  // every bound port, datagram ones first
+  std::vector<std::shared_ptr<RingHost>> rings;
+  for (uint16_t port = 1000; port < 1000 + 64; port++) {
+    rings.push_back(io.MakeRing(1024));
+    ASSERT_TRUE(pool.BindFlow(FlowSpec::Ring(port, rings.back())));
+    ports.push_back(port);
+  }
+  ASSERT_TRUE(pool.BindFlow(FlowSpec::Ring(999, io.MakeRing(256))));
+  ASSERT_TRUE(pool.UnbindFlow(999));
+  std::vector<std::pair<ConnId, ConnId>> pairs;  // (server, client)
+  for (uint16_t port = 2000; port < 2000 + 16; port++) {
+    pairs.emplace_back(st.Listen(port), st.Connect(port));
+  }
+  k.Run();
+  for (const auto& [srv, cli] : pairs) {
+    ASSERT_EQ(st.StateOf(srv), CcbLayout::kEstablished);
+    ASSERT_EQ(st.StateOf(cli), CcbLayout::kEstablished);
+    ports.push_back(st.PortOf(srv));
+    ports.push_back(st.PortOf(cli));
+  }
+  EXPECT_EQ(pool.steering_generation(), gen0)
+      << "binds, unbinds and establishment rebinds never re-emit steering";
+
+  Addr frame = k.allocator().Allocate(FrameLayout::kSlotBytes);
+  while (pool.size() < NicPool::kMaxNics) {
+    const uint32_t gen = pool.steering_generation();
+    ASSERT_TRUE(pool.AddNic());
+    const uint32_t n = pool.size();
+    EXPECT_EQ(pool.steering_generation(), gen + 1) << "n=" << n;
+    for (uint16_t port : ports) {
+      for (uint32_t i = 0; i < n; i++) {
+        const bool owner = i == pool.SteerOf(port);
+        EXPECT_EQ(pool.nic(i).flows().count(port) != 0, owner)
+            << "n=" << n << " port=" << port << " nic=" << i;
+        EXPECT_EQ(pool.nic(i).demux().HasFlow(port), owner)
+            << "n=" << n << " port=" << port << " nic=" << i;
+      }
+    }
+    for (size_t j = 0; j < rings.size(); j++) {
+      const uint32_t before = io.RingAvail(*rings[j]);
+      EXPECT_EQ(CallWithFrame(k, pool.generic_steering(), frame, ports[j],
+                              "gen"),
+                1u)
+          << "n=" << n << " port=" << ports[j];
+      EXPECT_EQ(CallWithFrame(k, pool.synthesized_steering(), frame, ports[j],
+                              "syn"),
+                1u)
+          << "n=" << n << " port=" << ports[j];
+      EXPECT_EQ(io.RingAvail(*rings[j]), before + 2 * (4u + 3u));
+    }
+  }
+
+  const uint32_t gen = pool.steering_generation();
+  const uint16_t srv_port = st.PortOf(pairs[0].first);
+  EXPECT_TRUE(pool.RebindFlow(srv_port, st.SynthDeliverOf(pairs[0].first)));
+  ASSERT_TRUE(pool.UnbindFlow(ports[0]));
+  ASSERT_TRUE(pool.BindFlow(FlowSpec::Ring(ports[0], rings[0])));
+  EXPECT_EQ(pool.steering_generation(), gen);
+
+  // One direction at a time: both directions at once queue enough segments
+  // on the single CPU to outlast the base retransmission timeout.
+  Addr buf = k.allocator().Allocate(64);
+  for (bool to_server : {true, false}) {
+    for (size_t j = 0; j < pairs.size(); j++) {
+      const std::string msg = "pair " + std::to_string(j);
+      mem.WriteBytes(buf, msg.data(), msg.size());
+      const ConnId from = to_server ? pairs[j].second : pairs[j].first;
+      ASSERT_EQ(st.Send(from, buf, static_cast<uint32_t>(msg.size())),
+                static_cast<int32_t>(msg.size()));
+    }
+    k.Run();
+    for (size_t j = 0; j < pairs.size(); j++) {
+      const std::string msg = "pair " + std::to_string(j);
+      const ConnId to = to_server ? pairs[j].first : pairs[j].second;
+      ASSERT_EQ(st.Recv(to, buf, 64), static_cast<int32_t>(msg.size()))
+          << "pair " << j;
+      std::string got(msg.size(), '\0');
+      mem.ReadBytes(buf, got.data(), got.size());
+      EXPECT_EQ(got, msg);
+    }
+  }
+  for (const auto& [srv, cli] : pairs) {
+    EXPECT_EQ(st.Stats(srv).retransmits, 0u);
+    EXPECT_EQ(st.Stats(cli).retransmits, 0u);
+  }
+}
+
 TEST(NicPoolTest, GenericSteeringAblationCarriesAStreamEndToEnd) {
   Kernel k;
   IoSystem io(k, nullptr);
@@ -227,81 +333,6 @@ TEST(NicPoolTest, GenericSteeringAblationCarriesAStreamEndToEnd) {
   ASSERT_TRUE(st.Close(srv));
   k.Run(10'000'000);
   EXPECT_EQ(st.StateOf(srv), CcbLayout::kDone);
-}
-
-// A connection flow opened with pin_to_nic lands on the NIC the (local, peer)
-// pair names — under both steering implementations (the synthesized pin
-// compare chain and the generic descriptor pin-table walk), at pool sizes on
-// and off the power-of-two fast path.
-TEST(NicPoolTest, PinnedConnectionRoutesToPinNicUnderBothSteerings) {
-  for (uint32_t n : {2u, 4u}) {
-    for (bool synth : {true, false}) {
-      Kernel k;
-      IoSystem io(k, nullptr);
-      NicPoolConfig pc;
-      pc.initial_nics = n;
-      pc.synthesized_steering = synth;
-      NicPool pool(k, pc);
-      StreamLayer st(k, io, pool);
-      Memory& mem = k.machine().memory();
-
-      // Pick an ephemeral port whose pin placement differs from its hash, so
-      // the test fails if pinning silently degrades to hashing.
-      uint16_t local = 0;
-      for (uint16_t p = 40000; p < 40050; p++) {
-        if (pool.PinSteerOf(p, 80) != pool.SteerOf(p)) {
-          local = p;
-          break;
-        }
-      }
-      ASSERT_NE(local, 0) << "n=" << n;
-      st.set_next_ephemeral(local);
-
-      StreamConfig cfg;
-      cfg.pin_to_nic = true;
-      ConnId srv = st.Listen(80);
-      ConnId cli = st.Connect(80, cfg);
-      ASSERT_NE(srv, kBadConn);
-      ASSERT_NE(cli, kBadConn);
-      ASSERT_EQ(st.PortOf(cli), local);
-      const uint32_t pin = pool.PinSteerOf(local, 80);
-      EXPECT_EQ(pool.OwnerOf(local), pin) << "n=" << n << " synth=" << synth;
-      EXPECT_TRUE(pool.nic(pin).demux().HasFlow(local));
-      EXPECT_FALSE(pool.nic(pool.SteerOf(local)).demux().HasFlow(local))
-          << "the pinned flow must not be on the hash-placed NIC";
-
-      // The whole conversation crosses the pin: the server's replies (dst =
-      // the pinned local port) route through the active steering stage into
-      // the pin NIC's demux.
-      k.Run();
-      ASSERT_EQ(st.StateOf(cli), CcbLayout::kEstablished);
-      Addr buf = k.allocator().Allocate(64);
-      mem.WriteBytes(buf, "pinned!", 7);
-      ASSERT_EQ(st.Send(cli, buf, 7), 7);
-      ASSERT_TRUE(st.Close(cli));
-      k.Run(10'000'000);
-      std::string got;
-      for (;;) {
-        int32_t r = st.Recv(srv, buf, 64);
-        if (r <= 0) {
-          break;
-        }
-        char tmp[64];
-        mem.ReadBytes(buf, tmp, static_cast<size_t>(r));
-        got.append(tmp, static_cast<size_t>(r));
-      }
-      EXPECT_EQ(got, "pinned!");
-      ASSERT_TRUE(st.Close(srv));
-      k.Run(10'000'000);
-      EXPECT_EQ(st.StateOf(cli), CcbLayout::kDone)
-          << "n=" << n << " synth=" << synth;
-      EXPECT_EQ(st.StateOf(srv), CcbLayout::kDone);
-      EXPECT_EQ(st.Stats(cli).retransmits, 0u)
-          << "a mis-routed frame would have cost a retransmission";
-      EXPECT_GT(pool.nic(pin).rx_gauge().events(), 0u)
-          << "the pin NIC must have seen the client-bound frames";
-    }
-  }
 }
 
 // Overload armor: RX queue depth past the high watermark swaps the

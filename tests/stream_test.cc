@@ -770,7 +770,6 @@ TEST_F(StreamTest, ReclaimedConnectionAnswersTheSameAfterCompaction) {
            st_.Send(id, buf, 8), st_.Recv(id, buf, 8), st_.Close(id)};
     EXPECT_EQ(st_.CcbOf(id), 0u);
     EXPECT_EQ(st_.RingOf(id), nullptr);
-    EXPECT_EQ(st_.ChannelOf(id), kBadChannel);
     EXPECT_EQ(st_.SynthDeliverOf(id), kInvalidBlock);
     EXPECT_EQ(st_.SpecOf(id), kBadSpec);
     return v;
@@ -799,6 +798,41 @@ TEST_F(StreamTest, ReclaimedConnectionAnswersTheSameAfterCompaction) {
     EXPECT_EQ(before[i].send, after[i].send);
     EXPECT_EQ(before[i].recv, after[i].recv);
     EXPECT_EQ(before[i].close, after[i].close);
+  }
+}
+
+// A connection is a control block, a ring and the code synthesized for it:
+// its segment processor and its alarm stub. Nothing else — RecvSpan drains
+// the ring directly, so no I/O channel (and no device name) sits over it.
+TEST_F(StreamTest, ConnectionOwnsOnlyItsProcessorAndAlarmStub) {
+  StreamConfig cfg;
+  cfg.keepalive_idle_us = 0;  // no probe stub
+  // The warm-up pair installs the shared generic processor.
+  ASSERT_NE(st_.Listen(80, cfg), kBadConn);
+  ASSERT_NE(st_.Connect(80, cfg), kBadConn);
+  k_.Run();
+  const size_t blocks = k_.code().live_block_count();
+  const size_t handles = k_.spec().live_handles();
+
+  const uint32_t kPairs = 8;
+  std::vector<ConnId> conns;
+  for (uint16_t port = 81; port < 81 + kPairs; port++) {
+    conns.push_back(st_.Listen(port, cfg));
+    conns.push_back(st_.Connect(port, cfg));
+  }
+  k_.Run();
+  for (ConnId id : conns) {
+    ASSERT_NE(id, kBadConn);
+    ASSERT_EQ(st_.StateOf(id), CcbLayout::kEstablished);
+  }
+  EXPECT_EQ(k_.code().live_block_count(), blocks + 2 * conns.size())
+      << "each connection adds its segment processor and alarm stub only";
+  EXPECT_EQ(k_.spec().live_handles(), handles + conns.size())
+      << "each connection holds one Specializer handle: its processor's";
+  for (ConnId id : conns) {
+    EXPECT_EQ(io_.Open("/net/tcp/" + std::to_string(st_.PortOf(id))),
+              kBadChannel)
+        << "a connection registers no ring device";
   }
 }
 

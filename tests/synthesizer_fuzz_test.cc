@@ -829,7 +829,6 @@ ReplayResult RunUnderFaultPlane(uint32_t plane_seed) {
   StreamConfig scfg;
   scfg.rto_base_us = 3000;
   scfg.max_retries = 12;
-  scfg.pin_to_nic = true;
   ConnId srv = st.Listen(80, scfg);
   ConnId cli = st.Connect(80, scfg);
   std::string pattern;
