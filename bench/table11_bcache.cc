@@ -3,13 +3,17 @@
 // path (map base, entry mask, extent start folded to immediates; unrolled
 // MOVEM block copy) against the interpreted layered path that walks the cache
 // descriptor load by load. Part 2 measures cold sequential scan throughput
-// with the read-ahead worker on vs off: one coalesced multi-block request
-// amortizes the per-request half-rotation that dominates single-block reads.
+// and disk requests with read-ahead on vs off: each miss fills itself and
+// the read-ahead window in one multi-block request, amortizing the
+// per-request half-rotation that dominates single-block reads. Part 4
+// counts the disk requests of one cold 4-block read(2).
 //
-// Both parts self-enforce their acceptance numbers and exit nonzero on
+// Each part self-enforces its acceptance numbers and exits nonzero on
 // regression:
 //   * synthesized warm hit <= 0.6x the generic layered instructions/block
 //   * read-ahead sequential scan >= 1.5x the uncached (no-prefetch) rate
+//   * the 64-block scan at read-ahead 8 takes <= 1 + ceil(63/9) = 8 requests
+//   * a cold 4-block read takes 1 request
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -130,10 +134,15 @@ double MeasureWarmHit(bool synthesized) {
   return per;
 }
 
-// Part 2: cold sequential scan, virtual elapsed time. Read-ahead coalesces
-// the upcoming span into one request; without it every block pays its own
-// disk latency.
-double MeasureSequentialScanUs(uint32_t read_ahead) {
+struct ScanCost {
+  double us = 0;          // virtual elapsed time
+  uint64_t requests = 0;  // disk requests completed
+};
+
+// Part 2: cold sequential scan of 512 B reads. With read-ahead each miss
+// fills itself and the upcoming window in one request; without it every
+// block pays its own disk latency.
+ScanCost MeasureSequentialScan(uint32_t read_ahead) {
   Stack s(/*synthesized=*/true, read_ahead);
   constexpr uint32_t kBlocks = 64;
   s.MakeColdFile("/scan", kBlocks);
@@ -142,6 +151,7 @@ double MeasureSequentialScanUs(uint32_t read_ahead) {
     std::fprintf(stderr, "table11: open failed\n");
     std::exit(1);
   }
+  const uint64_t r0 = s.disk.requests_completed();
   const double t0 = s.k.NowUs();
   for (uint32_t b = 0; b < kBlocks; b++) {
     if (s.io.Read(ch, s.buf, kBlock) != static_cast<int32_t>(kBlock)) {
@@ -149,13 +159,42 @@ double MeasureSequentialScanUs(uint32_t read_ahead) {
       std::exit(1);
     }
   }
-  const double elapsed = s.k.NowUs() - t0;
+  const ScanCost cost{s.k.NowUs() - t0, s.disk.requests_completed() - r0};
   if (read_ahead > 0 && s.bc.read_ahead_issued() == 0) {
     std::fprintf(stderr, "table11: read-ahead never engaged\n");
     std::exit(1);
   }
   s.io.Close(ch);
-  return elapsed;
+  return cost;
+}
+
+// Part 4: disk requests for one cold read(2) of 4 blocks. The call's missing
+// blocks travel in one request.
+uint64_t MeasureColdReadRequests() {
+  Stack s(/*synthesized=*/true, /*read_ahead=*/8);
+  constexpr uint32_t kBlocks = 4;
+  s.MakeColdFile("/cold", 4 * kBlocks);
+  ChannelId ch = s.io.Open("/cold");
+  if (ch == kBadChannel) {
+    std::fprintf(stderr, "table11: open failed\n");
+    std::exit(1);
+  }
+  const uint64_t r0 = s.disk.requests_completed();
+  if (s.io.Read(ch, s.buf, kBlocks * kBlock) !=
+      static_cast<int32_t>(kBlocks * kBlock)) {
+    std::fprintf(stderr, "table11: cold 4-block read came up short\n");
+    std::exit(1);
+  }
+  const Memory& mem = s.k.machine().memory();
+  for (uint32_t i = 0; i < kBlocks * kBlock; i++) {
+    if (mem.Read8(s.buf + i) != static_cast<uint8_t>(i * 131 + 7)) {
+      std::fprintf(stderr, "table11: cold 4-block read byte %u wrong\n", i);
+      std::exit(1);
+    }
+  }
+  const uint64_t requests = s.disk.requests_completed() - r0;
+  s.io.Close(ch);
+  return requests;
 }
 
 // Part 3 (informational): write acknowledge latency under write-behind vs
@@ -196,16 +235,18 @@ void Main() {
   PrintNote("copy routine; synthesized folds map/extent geometry to immediates");
   PrintNote("and copies the block with an unrolled MOVEM sequence.");
 
-  const double uncached_us = MeasureSequentialScanUs(/*read_ahead=*/0);
-  const double ahead_us = MeasureSequentialScanUs(/*read_ahead=*/8);
+  const ScanCost uncached = MeasureSequentialScan(/*read_ahead=*/0);
+  const ScanCost ahead = MeasureSequentialScan(/*read_ahead=*/8);
   const double scan_bytes = 64.0 * kBlock;
-  const double uncached_rate = scan_bytes / uncached_us;  // bytes per us
-  const double ahead_rate = scan_bytes / ahead_us;
+  const double uncached_rate = scan_bytes / uncached.us;  // bytes per us
+  const double ahead_rate = scan_bytes / ahead.us;
 
   PrintHeader("Table 11b: cold sequential scan, 64 blocks (throughput MB/s)",
               "no prefetch", "read-ahead 8");
   PrintRow("sequential read rate", uncached_rate, ahead_rate, "MB/s");
-  PrintNote("read-ahead issues ONE coalesced request for the upcoming span,");
+  PrintRow("disk requests", double(uncached.requests), double(ahead.requests),
+           "req");
+  PrintNote("each miss fills itself and the 8-block window in ONE request,");
   PrintNote("paying the half-rotation latency once instead of per block.");
 
   double ack_us = 0;
@@ -216,6 +257,14 @@ void Main() {
   PrintRow("write(2) latency vs platter cost", flush_us, ack_us, "us");
   PrintNote("writes land dirty in the cache; the alarm-driven flusher pays");
   PrintNote("the platter cost off the caller's critical path.");
+
+  const uint64_t cold_read_requests = MeasureColdReadRequests();
+  PrintHeader("Table 11d: cold 4-block read(2), read-ahead 8", "blocks",
+              "requests");
+  PrintRowUnits("2048 B from a cold file", 4, "blocks",
+                double(cold_read_requests), "req");
+  PrintNote("a read miss claims every block the call still lacks and reads");
+  PrintNote("them with one request.");
 
   // --- Acceptance gates ------------------------------------------------------
   if (synth > 0.6 * generic) {
@@ -230,6 +279,20 @@ void Main() {
                  "table11: REGRESSION read-ahead scan %.4f MB/us vs uncached "
                  "%.4f (need >= 1.5x)\n",
                  ahead_rate, uncached_rate);
+    std::exit(1);
+  }
+  if (ahead.requests > 8) {
+    std::fprintf(stderr,
+                 "table11: REGRESSION read-ahead scan took %llu disk requests "
+                 "(need <= 1 + ceil(63/9) = 8)\n",
+                 static_cast<unsigned long long>(ahead.requests));
+    std::exit(1);
+  }
+  if (cold_read_requests > 1) {
+    std::fprintf(stderr,
+                 "table11: REGRESSION cold 4-block read took %llu disk "
+                 "requests (need 1)\n",
+                 static_cast<unsigned long long>(cold_read_requests));
     std::exit(1);
   }
 }

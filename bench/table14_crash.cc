@@ -286,7 +286,8 @@ void Main() {
       crash_mounts_with_replay ? replay_us / crash_mounts_with_replay : 0;
   PrintHeader("Table 14c: mount-time recovery cost (per crash mount)",
               "records", "us");
-  PrintRow("mean journal replay", mean_records, mean_replay_us, "");
+  PrintRowUnits("mean journal replay", mean_records, "records",
+                mean_replay_us, "us");
   PrintNote("committed-but-unapplied records re-land at their home sectors;");
   PrintNote("torn tails past the last commit are discarded by checksum.");
 

@@ -72,7 +72,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
 # table11 asserts the buffer-cache numbers (synthesized cache-hit read
 # <= 0.6x the generic layered instructions per block; read-ahead sequential
-# scan >= 1.5x the uncached rate) and gates on miss-free warm loops.
+# scan >= 1.5x the uncached rate) and the request economy of read misses
+# (the 64-block scan at read-ahead 8 in <= 8 disk requests, a cold 4-block
+# read in 1), and gates on miss-free warm loops.
 (cd "$BUILD_DIR" && ./bench/table11_bcache > /dev/null)
 
 # table12 is the connection-scale survival gate: 2048 concurrent streams,

@@ -373,16 +373,18 @@ int Bcache::AllocateEntry(bool may_wait) {
         continue;  // in-flight fill or write-back: pinned
       }
       if (e.tag != BcacheLayout::kNoTag && RefBit(idx)) {
-        ClearRef(idx);  // second chance
+        SettlePrefetch(idx);  // a reader used it
+        ClearRef(idx);        // second chance
         continue;
       }
       if (e.tag != BcacheLayout::kNoTag && DirtyBit(idx)) {
         if (!may_wait) {
-          continue;  // read-ahead never blocks on a write-back
+          continue;  // a run's extra claims never block on a write-back
         }
         WriteBack(idx);
       }
       if (e.tag != BcacheLayout::kNoTag) {
+        SettlePrefetch(idx);  // evicted unreferenced: wasted
         evictions_++;
         UnmapEntry(idx);
       }
@@ -410,25 +412,30 @@ int Bcache::AllocateEntry(bool may_wait) {
   }
 }
 
-bool Bcache::EnsureBlock(uint32_t file_key, uint32_t block, uint32_t extent_first,
-                         uint32_t extent_blocks, bool write_full) {
+bool Bcache::EnsureBlock(uint32_t file_key, uint32_t block, uint32_t last_block,
+                         uint32_t extent_first, uint32_t extent_blocks,
+                         BcacheFill fill) {
   ArmFlusher();
   kernel_.machine().Charge(40, 8, 6);  // cache-manager miss bookkeeping
 
   // Sequential-access detector: this runs on the miss path only (hits stay
-  // inside the synthesized fd code), so consecutive misses are the signal.
+  // inside the synthesized fd code), so a miss just past the last filled
+  // block is the signal. It adds the read-ahead window past the span.
   auto lb = last_block_.find(file_key);
-  bool sequential = lb != last_block_.end() && lb->second + 1 == block;
-  last_block_[file_key] = block;
+  const bool sequential = lb != last_block_.end() && lb->second + 1 == block;
+  const uint32_t span_last =
+      fill == BcacheFill::kRead ? std::max(last_block, block) : block;
+  const uint32_t ahead = sequential ? cfg_.read_ahead : 0;
+  const uint32_t window_end = static_cast<uint32_t>(std::min<uint64_t>(
+      uint64_t{span_last} + 1 + ahead, uint64_t{extent_first} + extent_blocks));
 
   Memory& mem = kernel_.machine().memory();
   int found = FindEntry(block);
   if (found >= 0) {
     uint32_t idx = static_cast<uint32_t>(found);
     if (entries_[idx].busy) {
-      // The read-ahead worker already has this block on the wire: wait for
-      // that completion instead of issuing a duplicate read.
-      read_ahead_hits_++;
+      // A fill already has this block on the wire: wait for that completion
+      // instead of issuing a duplicate read.
       DiskScheduler::DriveUntil(kernel_,
                                 [this, idx] { return !entries_[idx].busy; });
     }
@@ -437,94 +444,113 @@ bool Bcache::EnsureBlock(uint32_t file_key, uint32_t block, uint32_t extent_firs
     mem.Write32(MetaOf(idx) + BcacheLayout::kMetaRef, 1);
   } else {
     misses_++;
+    // Only the missed block's own claim may wait or write back a victim.
     int slot = AllocateEntry(/*may_wait=*/true);
     if (slot < 0) {
       alloc_failures_++;
+      last_block_[file_key] = block;
       return false;
     }
     uint32_t idx = static_cast<uint32_t>(slot);
-    Entry& e = entries_[idx];
-    e.tag = block;
+    entries_[idx].tag = block;
     mem.Write32(MetaOf(idx) + BcacheLayout::kMetaRef, 1);
     mem.Write32(MetaOf(idx) + BcacheLayout::kMetaDirty, 0);
-    if (write_full) {
+    if (fill == BcacheFill::kRead) {
+      // A read's missing span and its read-ahead window: one request.
+      last_block_[file_key] =
+          FillRun(block, window_end, slot, span_last, /*wait=*/true) - 1;
+      return true;
+    }
+    if (fill == BcacheFill::kOverwrite) {
       // Full-block overwrite: no platter read. Zero the entry so untouched
       // bytes are deterministic until the write lands.
       std::vector<uint8_t> zeros(cfg_.block_bytes, 0);
       mem.WriteBytes(DataOf(idx), zeros.data(), zeros.size());
       kernel_.machine().Charge(cfg_.block_bytes / 4, 0, cfg_.block_bytes / 4);
+      MapBlock(block, idx);
     } else {
-      e.busy = true;
-      DiskRequest r;
-      r.sector = block * spb_;
-      r.count = spb_;
-      r.is_write = false;
-      r.mem = DataOf(idx);
-      r.done = [this, idx] { entries_[idx].busy = false; };
-      sched_.SubmitAndWait(kernel_, std::move(r));
+      FillRun(block, block + 1, slot, block, /*wait=*/true);
     }
-    MapBlock(block, idx);
   }
 
-  if (sequential && cfg_.read_ahead > 0) {
-    IssueReadAhead(block + 1, cfg_.read_ahead, extent_first, extent_blocks);
-  }
+  // A write fills only its own block and a resident block needed no fill:
+  // the window behind it is prefetched without waiting.
+  const uint32_t run_end =
+      ahead > 0 ? FillRun(block + 1, window_end, -1, span_last, /*wait=*/false)
+                : block + 1;
+  last_block_[file_key] = run_end - 1;
   return true;
 }
 
-void Bcache::IssueReadAhead(uint32_t first, uint32_t count, uint32_t extent_first,
-                            uint32_t extent_blocks) {
-  uint32_t extent_end = extent_first + extent_blocks;
-  if (first >= extent_end) {
-    return;
+uint32_t Bcache::FillRun(uint32_t first, uint32_t end, int own,
+                         uint32_t span_last, bool wait) {
+  // Claim the run. It stops at the first resident block (busy, dirty or
+  // clean — a platter read must never overwrite a dirty entry), at the first
+  // refused claim and at `end`. Claims past `own` never wait or evict dirty,
+  // and each claimed entry is pinned at once so later claims cannot take it.
+  std::vector<uint32_t> idxs;  // idxs[i] holds block first + i
+  if (own >= 0) {
+    idxs.push_back(static_cast<uint32_t>(own));
+    entries_[idxs.front()].busy = true;
   }
-  uint32_t end = std::min(first + count, extent_end);
-  // Claim entries for the span up front. Already-resident blocks stay as they
-  // are (the coalesced read just skips them at completion); an allocation
-  // failure truncates the span — prefetch never waits and never evicts dirty.
-  std::vector<std::pair<uint32_t, uint32_t>> fills;  // (block, entry)
-  uint32_t span_end = first;
-  for (uint32_t b = first; b < end; b++) {
+  Memory& mem = kernel_.machine().memory();
+  for (uint32_t b = first + static_cast<uint32_t>(idxs.size()); b < end; b++) {
     if (FindEntry(b) >= 0) {
-      span_end = b + 1;
-      continue;
+      break;
     }
     int idx = AllocateEntry(/*may_wait=*/false);
     if (idx < 0) {
       break;
     }
-    entries_[static_cast<size_t>(idx)].tag = b;
-    entries_[static_cast<size_t>(idx)].busy = true;
-    fills.emplace_back(b, static_cast<uint32_t>(idx));
-    span_end = b + 1;
+    uint32_t i = static_cast<uint32_t>(idx);
+    entries_[i].tag = b;
+    entries_[i].busy = true;
+    const bool prefetch = b > span_last;
+    entries_[i].prefetched = prefetch;  // enters the clock unreferenced
+    read_ahead_issued_ += prefetch ? 1 : 0;
+    mem.Write32(MetaOf(i) + BcacheLayout::kMetaRef, prefetch ? 0 : 1);
+    mem.Write32(MetaOf(i) + BcacheLayout::kMetaDirty, 0);
+    idxs.push_back(i);
   }
-  if (fills.empty()) {
-    return;
+  if (idxs.empty()) {
+    return first;
   }
-  // ONE request for the whole span: the per-request half-rotation is paid
-  // once instead of once per block — that is the read-ahead throughput win.
-  // The transfer lands in the controller buffer (no direct DMA target, since
-  // the claimed entries are scattered); completion copies each block out.
+  // ONE request for the whole run: the per-request half-rotation is paid
+  // once instead of once per block. The transfer lands in the controller
+  // buffer (the claimed entries are scattered); completion copies each block
+  // out at the DMA path's 1 cycle per word and publishes it.
   DiskRequest r;
   r.sector = first * spb_;
-  r.count = (span_end - first) * spb_;
+  r.count = static_cast<uint32_t>(idxs.size()) * spb_;
   r.is_write = false;
   r.mem = 0;
-  r.done = [this, fills] {
-    Memory& mem = kernel_.machine().memory();
-    for (const auto& [b, idx] : fills) {
+  r.done = [this, first, idxs] {
+    Memory& m = kernel_.machine().memory();
+    for (uint32_t i = 0; i < idxs.size(); i++) {
+      const uint32_t b = first + i;
+      const uint32_t idx = idxs[i];
       size_t off = static_cast<size_t>(b) * cfg_.block_bytes;
-      mem.WriteBytes(DataOf(idx), disk_.backing().data() + off, cfg_.block_bytes);
+      m.WriteBytes(DataOf(idx), disk_.backing().data() + off, cfg_.block_bytes);
       kernel_.machine().Charge(cfg_.block_bytes / 4, 0, cfg_.block_bytes / 4);
-      mem.Write32(MetaOf(idx) + BcacheLayout::kMetaRef, 1);
-      mem.Write32(MetaOf(idx) + BcacheLayout::kMetaDirty, 0);
       entries_[idx].busy = false;
       MapBlock(b, idx);
     }
   };
-  read_ahead_issued_ += fills.size();
-  kernel_.machine().Charge(24, 6, 4);  // queue the span
   sched_.Submit(std::move(r));
+  if (wait) {
+    const uint32_t idx = idxs.front();
+    DiskScheduler::DriveUntil(kernel_,
+                              [this, idx] { return !entries_[idx].busy; });
+  }
+  return first + static_cast<uint32_t>(idxs.size());
+}
+
+void Bcache::SettlePrefetch(uint32_t idx) {
+  Entry& e = entries_[idx];
+  if (e.prefetched) {
+    e.prefetched = false;
+    (RefBit(idx) ? read_ahead_hits_ : read_ahead_wasted_)++;
+  }
 }
 
 void Bcache::FlushAll() {
@@ -585,6 +611,7 @@ void Bcache::InvalidateRange(uint32_t first, uint32_t count) {
     if (tag == BcacheLayout::kNoTag || tag < first || tag >= first + count) {
       continue;
     }
+    SettlePrefetch(i);
     UnmapEntry(i);
     entries_[i].tag = BcacheLayout::kNoTag;
     mem.Write32(MetaOf(i) + BcacheLayout::kMetaRef, 0);

@@ -2,7 +2,7 @@
 // the file-system pipeline, grown from whole-file residency to a fixed pool
 // of cache blocks in front of the raw disk server.
 //
-// Shape (fixed entries, periodic flush, read-ahead queue):
+// Shape (fixed entries, periodic flush, one request per miss):
 //  * A fixed, power-of-two number of block-sized entries in simulated memory.
 //    A direct-mapped lookup map (tag, entry) is probed by the per-fd read and
 //    write code — synthesized with the map base, entry mask, and the file's
@@ -13,11 +13,15 @@
 //    by kernel alarms writes dirty entries back asynchronously (write-behind).
 //    Eviction of a dirty victim write-backs synchronously first, so no
 //    acknowledged write is ever dropped on the floor.
-//  * A sequential-access detector feeds the read-ahead queue on each miss;
-//    the queue is drained by issuing ONE coalesced multi-sector request for
-//    the upcoming span, amortizing the per-request half-rotation cost that
-//    dominates single-block reads. A reader that arrives while its block is
-//    still in flight waits on that request instead of issuing its own.
+//  * A miss is one disk request. A read miss claims the contiguous run of
+//    missing blocks from the missed block through the call's last block and,
+//    when the per-file sequential detector fires, the read-ahead window past
+//    it; ONE multi-sector request reads the run and its completion scatters
+//    the blocks into their entries, so the per-request half-rotation that
+//    dominates single-block reads is paid once. Writes fill their own block
+//    alone and prefetch the window behind it without waiting. A reader that
+//    arrives while its block is still in flight waits on that request
+//    instead of issuing its own.
 //
 // Entry metadata is split by writer: tags and busy (in-flight) state are
 // host-side (only the cache manager changes them); the per-entry ref and
@@ -76,6 +80,13 @@ struct BcacheLayout {
   }
 };
 
+// What the caller that missed is about to do with the block.
+enum class BcacheFill : uint8_t {
+  kRead,       // one request through the call's last block and the window
+  kWrite,      // partial overwrite: read this block alone, prefetch async
+  kOverwrite,  // whole-block overwrite: no platter read, prefetch async
+};
+
 class Bcache {
  public:
   // Aborts (fprintf + abort) on invalid construction parameters, the same
@@ -98,12 +109,14 @@ class Bcache {
   // Ensures the absolute disk block `block` is resident and mapped, reading
   // through the disk scheduler on a miss (virtual time advances). `file_key`
   // feeds the per-file sequential detector; `extent_first`/`extent_blocks`
-  // clamp read-ahead to the file's extent. `write_full` means the caller is
-  // about to overwrite the whole block, so the platter read is skipped.
-  // Returns false when entry allocation fails (kBcacheAlloc, or every entry
+  // clamp every fill to the file's extent. A kRead miss also fills the
+  // missing blocks up to `last_block` (the call's last block) in the same
+  // request; the other kinds ignore it. Returns false when the missed
+  // block's own entry cannot be allocated (kBcacheAlloc, or every entry
   // pinned in flight) — the caller surfaces a clean partial/error result.
-  bool EnsureBlock(uint32_t file_key, uint32_t block, uint32_t extent_first,
-                   uint32_t extent_blocks, bool write_full);
+  bool EnsureBlock(uint32_t file_key, uint32_t block, uint32_t last_block,
+                   uint32_t extent_first, uint32_t extent_blocks,
+                   BcacheFill fill);
 
   // One flusher period's work: write back up to flush_batch dirty entries
   // asynchronously and re-arm the alarm. Runs at interrupt level (the alarm
@@ -138,14 +151,20 @@ class Bcache {
   uint64_t evictions() const { return evictions_; }
   uint64_t flushes() const { return flushes_; }
   uint64_t alloc_failures() const { return alloc_failures_; }
+  // Read-ahead blocks: fetched past the span of the call that missed. Each
+  // enters the clock unreferenced; it counts as a hit the first time the
+  // cache manager (clock sweep or eviction) finds its ref bit set, and as
+  // wasted when it leaves the cache unreferenced.
   uint64_t read_ahead_issued() const { return read_ahead_issued_; }
   uint64_t read_ahead_hits() const { return read_ahead_hits_; }
+  uint64_t read_ahead_wasted() const { return read_ahead_wasted_; }
   bool flusher_armed() const { return flusher_armed_; }
 
  private:
   struct Entry {
     uint32_t tag = BcacheLayout::kNoTag;  // absolute disk block, kNoTag = free
     bool busy = false;                    // fill or write-back in flight
+    bool prefetched = false;              // read-ahead not yet settled
   };
 
   Addr DataOf(uint32_t idx) const { return data_base_ + idx * cfg_.block_bytes; }
@@ -169,7 +188,8 @@ class Bcache {
   void UnmapEntry(uint32_t idx);
 
   // Clock allocation. `may_wait` allows synchronous write-back of a dirty
-  // victim; read-ahead passes false and gives up instead of waiting.
+  // victim; only a missed block's own claim passes true — every other claim
+  // of a run gives up instead of waiting.
   // Returns -1 on failure (kBcacheAlloc fired or nothing evictable).
   int AllocateEntry(bool may_wait);
   // Synchronous write-back of one dirty entry (drives the virtual clock).
@@ -196,9 +216,16 @@ class Bcache {
   // and the quarter-region progress bound).
   uint32_t JournalChunk() const;
   void ArmFlusher();
-  // Issues one coalesced read for [first, first+count) into fresh entries.
-  void IssueReadAhead(uint32_t first, uint32_t count, uint32_t extent_first,
-                      uint32_t extent_blocks);
+  // The one fill mechanism. Claims the missing blocks of [first, end) —
+  // `own`, when not -1, is the entry already claimed for `first` — stopping
+  // at the first resident block or refused claim, and reads them with ONE
+  // request whose completion scatters each block into its entry. Blocks past
+  // `span_last` are read-ahead. Waits for the completion when `wait`.
+  // Returns the end of the claimed run (`first` when nothing was claimed).
+  uint32_t FillRun(uint32_t first, uint32_t end, int own, uint32_t span_last,
+                   bool wait);
+  // Counts a read-ahead entry as hit or wasted by its ref bit, once.
+  void SettlePrefetch(uint32_t idx);
 
   Kernel& kernel_;
   DiskDevice& disk_;
@@ -216,7 +243,7 @@ class Bcache {
 
   std::vector<Entry> entries_;
   uint32_t clock_hand_ = 0;
-  std::unordered_map<uint32_t, uint32_t> last_block_;  // file_key -> last missed block
+  std::unordered_map<uint32_t, uint32_t> last_block_;  // file_key -> last filled block
   BlockId flush_stub_ = kInvalidBlock;
   bool flusher_armed_ = false;
 
@@ -226,6 +253,7 @@ class Bcache {
   uint64_t alloc_failures_ = 0;
   uint64_t read_ahead_issued_ = 0;
   uint64_t read_ahead_hits_ = 0;
+  uint64_t read_ahead_wasted_ = 0;
 };
 
 }  // namespace synthesis

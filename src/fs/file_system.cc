@@ -282,7 +282,8 @@ FileSystem::CachedExtent FileSystem::EnsureCached(uint32_t file_id) {
                       meta.sectors / spb, meta.capacity};
 }
 
-bool FileSystem::CacheFill(uint32_t file_id, uint32_t block, bool write_full) {
+bool FileSystem::CacheFill(uint32_t file_id, uint32_t block, uint32_t last_block,
+                           BcacheFill fill) {
   auto it = files_.find(file_id);
   if (it == files_.end() || bcache_ == nullptr) {
     return false;
@@ -294,7 +295,7 @@ bool FileSystem::CacheFill(uint32_t file_id, uint32_t block, bool write_full) {
   if (block < first || block >= first + blocks) {
     return false;  // a corrupt position walked off the extent
   }
-  return bcache_->EnsureBlock(file_id, block, first, blocks, write_full);
+  return bcache_->EnsureBlock(file_id, block, last_block, first, blocks, fill);
 }
 
 void FileSystem::FsyncFile(uint32_t file_id) {

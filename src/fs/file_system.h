@@ -125,10 +125,12 @@ class FileSystem {
   CachedExtent EnsureCached(uint32_t file_id);
 
   // Miss service for the per-fd cached paths: maps `block` (absolute, in
-  // cache-block units), reading through the disk unless `write_full` says the
-  // caller overwrites the whole block. False = allocation failed (clean
-  // rollback; the read/write surfaces a partial result or error).
-  bool CacheFill(uint32_t file_id, uint32_t block, bool write_full);
+  // cache-block units) as Bcache::EnsureBlock does, clamped to the file's
+  // extent; a read passes its call's last block as `last_block`. False =
+  // allocation failed (clean rollback; the read/write surfaces a partial
+  // result or error).
+  bool CacheFill(uint32_t file_id, uint32_t block, uint32_t last_block,
+                 BcacheFill fill);
 
   // fsync(2) semantics: pushes the file's dirty cache blocks (or its dirty
   // resident extent) to the platter and persists the live size.

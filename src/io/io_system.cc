@@ -858,6 +858,7 @@ int32_t IoSystem::CachedIo(Channel& c, bool is_write, Addr buf, uint32_t n) {
   Memory& mem = m.memory();
   Bcache* bc = fs_->bcache();
   const uint32_t bb = bc->block_bytes();
+  const uint32_t pos_at_entry = mem.Read32(c.record + ChannelLayout::kPosition);
   uint32_t total = 0;
   bool fill_failed = false;
   for (;;) {
@@ -875,12 +876,22 @@ int32_t IoSystem::CachedIo(Channel& c, bool is_write, Addr buf, uint32_t n) {
       // under the running syscall code.
       total += mem.Read32(c.record + ChannelLayout::kScratch);
       uint32_t block = mem.Read32(c.record + ChannelLayout::kMissBlock);
-      bool write_full = false;
+      uint32_t last_block = block;
+      BcacheFill fill = BcacheFill::kRead;
       if (is_write) {
         uint32_t pos = mem.Read32(c.record + ChannelLayout::kPosition);
-        write_full = pos % bb == 0 && n - total >= bb;
+        fill = pos % bb == 0 && n - total >= bb ? BcacheFill::kOverwrite
+                                                : BcacheFill::kWrite;
+      } else {
+        // The call's last block, from its position at entry and n (never past
+        // EOF): the fill brings in every block the call still lacks at once.
+        uint64_t end = std::min<uint64_t>(uint64_t{pos_at_entry} + n,
+                                          mem.Read32(c.cext.size_addr));
+        if (end > 0) {
+          last_block = c.cext.first_block + static_cast<uint32_t>((end - 1) / bb);
+        }
       }
-      if (!fs_->CacheFill(c.file_id, block, write_full)) {
+      if (!fs_->CacheFill(c.file_id, block, last_block, fill)) {
         fill_failed = true;  // allocation failed: graceful partial result
         break;
       }

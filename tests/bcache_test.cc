@@ -2,7 +2,9 @@
 // cached read/write paths in front of it: byte-identical generic vs
 // synthesized behavior under random schedules, write-behind flush ordering,
 // eviction occupancy exactness under open/close churn, read-ahead
-// correctness, and clean rollback when entry allocation fails.
+// correctness, one disk request per read miss (the call's missing blocks and
+// the read-ahead window in one run), read-ahead hit/waste accounting, and
+// clean rollback when entry allocation fails.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,6 +52,17 @@ struct Stack {
   void Seek(ChannelId ch, uint32_t pos) {
     k.machine().memory().Write32(io.RecordOf(ch) + ChannelLayout::kPosition,
                                  pos);
+  }
+  // Creates `path` holding `body` (capacity = size), pushes it to the
+  // platter and drops it from the cache, so the next read starts cold.
+  uint32_t CreateCold(const std::string& path, const std::string& body) {
+    const uint32_t fid = fs.CreateFile(path, Bytes(body),
+                                       static_cast<uint32_t>(body.size()));
+    if (fid != 0) {
+      fs.FsyncFile(fid);
+      fs.Evict(fid);
+    }
+    return fid;
   }
   // Drives the kernel's virtual clock until the flusher has drained every
   // dirty entry (write-behind completion order is what the test asserts).
@@ -323,31 +336,196 @@ TEST(BcacheTest, SequentialReadTriggersReadAheadAndBytesMatch) {
 }
 
 TEST(BcacheTest, AllocFailureRollsBackToAPartialResult) {
-  Stack s;
   const std::string body = Pattern(4 * 512, 13);
-  ASSERT_NE(s.fs.CreateFile("/frail", Bytes(body), 4 * 512), 0u);
-  const uint32_t fid = s.fs.LookupId("/frail");
-  s.fs.FsyncFile(fid);
-  s.fs.Evict(fid);
+  // The cold 4-block read's first allocation is block 0's own claim and the
+  // second is the run's claim for block 1. Refusing only that run claim
+  // shortens the run to block 0: the next miss claims blocks 1..3 and the
+  // read completes exactly. Refusing the next miss's own claim as well
+  // (allocation 3) stops the read with a clean partial result.
+  for (bool own_refused : {false, true}) {
+    Stack s;
+    ASSERT_NE(s.CreateCold("/frail", body), 0u);
+    FaultTrigger t;
+    t.schedule = own_refused ? std::vector<uint64_t>{2, 3}
+                             : std::vector<uint64_t>{2};
+    s.k.faults().Arm(FaultSite::kBcacheAlloc, t);
+    ChannelId ch = s.io.Open("/frail");
+    ASSERT_NE(ch, kBadChannel);
+    if (own_refused) {
+      EXPECT_EQ(s.io.Read(ch, s.buf, 4 * 512), 512)
+          << "bytes already copied are returned; the failed fill stops the read";
+      EXPECT_EQ(s.Fetch(512), body.substr(0, 512));
+      EXPECT_EQ(s.bc.alloc_failures(), 1u);
+    } else {
+      const uint64_t before = s.disk.requests_completed();
+      EXPECT_EQ(s.io.Read(ch, s.buf, 4 * 512), 4 * 512)
+          << "a refused run claim only shortens the run";
+      EXPECT_EQ(s.Fetch(4 * 512), body);
+      EXPECT_EQ(s.bc.alloc_failures(), 0u);
+      EXPECT_EQ(s.disk.requests_completed() - before, 2u)
+          << "block 0 alone, then blocks 1..3 in one run";
+    }
 
-  // kBcacheAlloc fires on the second allocation: the cold read fills block 0,
-  // then fails to allocate for block 1 and must surface a clean partial read.
-  FaultTrigger t;
-  t.schedule = {2};
-  s.k.faults().Arm(FaultSite::kBcacheAlloc, t);
-  ChannelId ch = s.io.Open("/frail");
+    // With the fault disarmed the retry completes and the cache is coherent.
+    s.k.faults().Disarm(FaultSite::kBcacheAlloc);
+    s.Seek(ch, 0);
+    ASSERT_EQ(s.io.Read(ch, s.buf, 4 * 512), 4 * 512);
+    EXPECT_EQ(s.Fetch(4 * 512), body);
+    s.io.Close(ch);
+  }
+}
+
+// A read miss is one disk request: the call's missing blocks travel
+// together, with or without read-ahead, from an aligned or unaligned start.
+TEST(BcacheTest, ColdMultiBlockReadIsOneDiskRequest) {
+  for (uint32_t ahead : {8u, 0u}) {
+    BcacheConfig bcfg;
+    bcfg.read_ahead = ahead;
+    Stack s(bcfg);
+    const std::string body = Pattern(16 * 512, 41);
+    ASSERT_NE(s.CreateCold("/wide", body), 0u);
+    ChannelId ch = s.io.Open("/wide");
+    ASSERT_NE(ch, kBadChannel);
+
+    uint64_t before = s.disk.requests_completed();
+    ASSERT_EQ(s.io.Read(ch, s.buf, 4 * 512), 4 * 512);
+    EXPECT_EQ(s.Fetch(4 * 512), body.substr(0, 4 * 512));
+    EXPECT_EQ(s.disk.requests_completed() - before, 1u) << "ahead " << ahead;
+    EXPECT_EQ(s.bc.misses(), 1u);
+    EXPECT_EQ(s.bc.resident_blocks(), 4u) << "the call's span and no more";
+    EXPECT_EQ(s.bc.read_ahead_issued(), 0u);
+
+    // 2000 bytes from byte 300 of block 8 straddle blocks 8..12.
+    s.Seek(ch, 8 * 512 + 300);
+    before = s.disk.requests_completed();
+    ASSERT_EQ(s.io.Read(ch, s.buf, 2000), 2000);
+    EXPECT_EQ(s.Fetch(2000), body.substr(8 * 512 + 300, 2000));
+    EXPECT_EQ(s.disk.requests_completed() - before, 1u) << "ahead " << ahead;
+    EXPECT_EQ(s.bc.resident_blocks(), 9u);
+    s.io.Close(ch);
+  }
+}
+
+// A resident dirty block inside a read's span ends the run: the platter
+// copy must never overwrite it. The blocks on either side are filled by
+// their own runs, and the read returns the dirty bytes.
+TEST(BcacheTest, RunFillStopsAtADirtyResidentBlock) {
+  BcacheConfig bcfg;
+  bcfg.flush_period_us = 1e9;  // keep write-behind out of the request count
+  Stack s(bcfg);
+  const std::string body = Pattern(4 * 512, 43);
+  ASSERT_NE(s.CreateCold("/mid", body), 0u);
+  ChannelId ch = s.io.Open("/mid");
   ASSERT_NE(ch, kBadChannel);
-  EXPECT_EQ(s.io.Read(ch, s.buf, 4 * 512), 512)
-      << "bytes already copied are returned; the failed fill stops the read";
-  EXPECT_EQ(s.Fetch(512), body.substr(0, 512));
-  EXPECT_EQ(s.bc.alloc_failures(), 1u);
 
-  // The fault is one-shot: the retry completes and the cache is coherent.
-  s.k.faults().Disarm(FaultSite::kBcacheAlloc);
+  const std::string dirty = Pattern(512, 44);
+  s.Seek(ch, 512);
+  s.Stage(dirty);
+  const uint64_t before = s.disk.requests_completed();
+  ASSERT_EQ(s.io.Write(ch, s.buf, 512), 512);  // whole block: no platter read
+  ASSERT_EQ(s.bc.dirty_blocks(), 1u);
+
   s.Seek(ch, 0);
   ASSERT_EQ(s.io.Read(ch, s.buf, 4 * 512), 4 * 512);
-  EXPECT_EQ(s.Fetch(4 * 512), body);
+  EXPECT_EQ(s.Fetch(4 * 512), body.substr(0, 512) + dirty + body.substr(1024));
+  EXPECT_EQ(s.disk.requests_completed() - before, 2u)
+      << "block 0, then blocks 2..3: one request each";
+  EXPECT_EQ(s.bc.dirty_blocks(), 1u) << "the dirty block was never re-read";
+  EXPECT_EQ(s.bc.resident_blocks(), 4u);
   s.io.Close(ch);
+}
+
+// The read-ahead window is clamped to the file's extent, and a read never
+// fills past EOF: the blocks behind them belong to another file or to no
+// byte the call can return.
+TEST(BcacheTest, ReadAheadWindowNeverClaimsPastTheExtent) {
+  Stack s;  // read_ahead 8
+  const std::string body = Pattern(6 * 512, 45);
+  ASSERT_NE(s.CreateCold("/tail", body), 0u);
+  ASSERT_NE(s.CreateCold("/next", Pattern(8 * 512, 46)), 0u);
+  ChannelId ch = s.io.Open("/tail");
+  ASSERT_NE(ch, kBadChannel);
+  std::string got;
+  for (int b = 0; b < 6; ++b) {
+    ASSERT_EQ(s.io.Read(ch, s.buf, 512), 512);
+    got += s.Fetch(512);
+  }
+  EXPECT_EQ(got, body);
+  EXPECT_EQ(s.io.Read(ch, s.buf, 512), 0) << "EOF";
+  EXPECT_EQ(s.bc.resident_blocks(), 6u) << "nothing of /next was claimed";
+  EXPECT_EQ(s.bc.read_ahead_issued(), 4u) << "blocks 2..5, clamped at the extent";
+  s.io.Close(ch);
+
+  // 700 bytes in a 4 KB extent: a 4 KB read fills blocks 0..1 only.
+  const uint32_t fid = s.fs.CreateFile("/short", Bytes(Pattern(700, 47)), 4096);
+  ASSERT_NE(fid, 0u);
+  s.fs.FsyncFile(fid);
+  s.fs.Evict(fid);
+  const uint32_t resident = s.bc.resident_blocks();
+  ch = s.io.Open("/short");
+  ASSERT_NE(ch, kBadChannel);
+  ASSERT_EQ(s.io.Read(ch, s.buf, 4096), 700);
+  EXPECT_EQ(s.Fetch(700), Pattern(700, 47));
+  EXPECT_EQ(s.bc.resident_blocks() - resident, 2u) << "no fill past EOF";
+  s.io.Close(ch);
+}
+
+// A cold 64-block scan with read_ahead 8: the first miss fills one block,
+// and every later miss fills itself plus the 8-block window in one request.
+TEST(BcacheTest, SequentialScanCostsOneRequestPerWindow) {
+  Stack s;  // 64 entries, read_ahead 8
+  const std::string body = Pattern(64 * 512, 48);
+  ASSERT_NE(s.CreateCold("/scan", body), 0u);
+  ChannelId ch = s.io.Open("/scan");
+  ASSERT_NE(ch, kBadChannel);
+  const uint64_t before = s.disk.requests_completed();
+  std::string got;
+  for (int b = 0; b < 64; ++b) {
+    ASSERT_EQ(s.io.Read(ch, s.buf, 512), 512);
+    got += s.Fetch(512);
+  }
+  EXPECT_EQ(got, body);
+  EXPECT_LE(s.disk.requests_completed() - before, 1u + (63 + 8) / 9)
+      << "1 + ceil(63 / 9) requests";
+  s.io.Close(ch);
+}
+
+// Prefetched blocks enter the clock unreferenced and settle once: as a hit
+// when a reader set the ref bit, as waste when they leave the cache unread.
+TEST(BcacheTest, ReadAheadHitsCountPrefetchedBlocksAReaderUsed) {
+  BcacheConfig bcfg;
+  bcfg.entries = 16;  // the scan's clock sweep settles most windows
+  Stack s(bcfg);
+  const std::string body = Pattern(64 * 512, 49);
+  const uint32_t fid = s.CreateCold("/used", body);
+  ASSERT_NE(fid, 0u);
+  ChannelId ch = s.io.Open("/used");
+  ASSERT_NE(ch, kBadChannel);
+  std::string got;
+  for (int b = 0; b < 64; ++b) {
+    ASSERT_EQ(s.io.Read(ch, s.buf, 512), 512);
+    got += s.Fetch(512);
+  }
+  EXPECT_EQ(got, body);
+  s.io.Close(ch);
+  s.fs.Evict(fid);  // settles the windows still resident
+  EXPECT_GT(s.bc.read_ahead_issued(), 0u);
+  EXPECT_EQ(s.bc.read_ahead_hits(), s.bc.read_ahead_issued())
+      << "a full cold scan reads every prefetched block";
+  EXPECT_EQ(s.bc.read_ahead_wasted(), 0u);
+
+  // Two sequential reads prefetch a window nobody reads: all of it is waste.
+  const uint64_t issued = s.bc.read_ahead_issued();
+  const uint64_t hits = s.bc.read_ahead_hits();
+  ch = s.io.Open("/used");
+  ASSERT_NE(ch, kBadChannel);
+  ASSERT_EQ(s.io.Read(ch, s.buf, 512), 512);
+  ASSERT_EQ(s.io.Read(ch, s.buf, 512), 512);
+  s.io.Close(ch);
+  s.fs.Evict(fid);
+  EXPECT_EQ(s.bc.read_ahead_issued() - issued, 8u);
+  EXPECT_EQ(s.bc.read_ahead_wasted(), 8u);
+  EXPECT_EQ(s.bc.read_ahead_hits(), hits);
 }
 
 TEST(BcacheDeathTest, BadGeometryAbortsLoudly) {
