@@ -55,6 +55,17 @@ cmake --build "$BUILD_DIR" -j
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
+# Bench smoke for the paper tables and ablations (about 1 s together): each
+# must exit 0, and its JSON is parsed below. Several gate themselves — table6
+# fails if a bind installs code or demux cost grows with the flow count. fig1
+# and fig2 are host-timed google-benchmark runs and stay out.
+for b in table1_unix_syscalls table2_file_io table3_thread_ops table4_dispatcher \
+    table5_interrupts table6_net_demux table7_stream ablation_synthesis \
+    ablation_queues fig3_ready_queue; do
+  (cd "$BUILD_DIR" && "./bench/$b" > /dev/null) \
+    || { echo "verify: bench $b failed" >&2; exit 1; }
+done
+
 # Bench smoke: table8 asserts its own acceptance numbers (synthesized steering
 # < 0.7x generic, 1->2 NIC scaling >= 1.7x) and exits nonzero on regression.
 (cd "$BUILD_DIR" && ./bench/table8_nic_pool > /dev/null)

@@ -73,62 +73,93 @@ RunResult Executor::Run(uint64_t max_steps) {
   }
 
   const CodeBlock* blk = &store_.Get(block_);
-  const CostModel& cost = machine_.cost_model();
+  // pc and this run's tallies live in locals, which simulated memory writes
+  // cannot alias, and are published to pc_, the machine's counters and the
+  // RunResult only where host code can look (see executor.h). The cost model
+  // is copied for the same reason. The helpers below are forced inline: an
+  // out-of-line call would take the locals' addresses and send them back to
+  // memory.
+  const CostModel cost = machine_.cost_model();
+  uint32_t pc = pc_;
+  uint64_t instrs = 0, cycles = 0, refs = 0;
+  uint64_t billed_instrs = 0, billed_cycles = 0, billed_refs = 0;
+  // The current instruction's trace entry; it is charged before any host
+  // code can record another.
+  TraceEntry* traced = nullptr;
 
-  auto charge = [&](const Instr& in, bool taken) {
-    uint32_t c = cost.Cycles(in, taken);
-    uint32_t refs = CostModel::MemRefs(in);
-    machine_.Charge(c, 1, refs);
-    r.instructions++;
-    r.cycles += c;
-    r.mem_refs += refs;
+  auto publish = [&]() __attribute__((always_inline)) {
+    machine_.Charge(cycles - billed_cycles, instrs - billed_instrs, refs - billed_refs);
+    billed_instrs = instrs;
+    billed_cycles = cycles;
+    billed_refs = refs;
+    pc_ = pc;
   };
 
-  auto fault = [&](FaultKind kind, Addr addr = 0) {
+  auto finish = [&](RunOutcome outcome) __attribute__((always_inline)) {
+    publish();
+    r.instructions = instrs;
+    r.cycles = cycles;
+    r.mem_refs = refs;
+    return Finish(r, outcome);
+  };
+
+  auto fault = [&](FaultKind kind, Addr addr = 0) __attribute__((always_inline)) {
     r.fault = kind;
     r.fault_addr = addr;
-    return Finish(r, RunOutcome::kFault);
+    return finish(RunOutcome::kFault);
   };
 
-  while (r.instructions < max_steps) {
-    if (interrupt_poll_ && interrupt_poll_()) {
-      return Finish(r, RunOutcome::kInterrupted);
+  auto charge = [&](const Instr& in, bool taken) __attribute__((always_inline)) {
+    const uint32_t c = cost.Cycles(in, taken);
+    instrs++;
+    cycles += c;
+    refs += CostModel::MemRefs(in);
+    if (traced != nullptr) {
+      traced->cycles = c;
     }
-    if (pc_ >= blk->code.size()) {
+  };
+
+  while (instrs < max_steps) {
+    if (interrupt_poll_) {
+      publish();
+      if (interrupt_poll_()) {
+        return finish(RunOutcome::kInterrupted);
+      }
+    }
+    if (pc >= blk->code.size()) {
       // Falling off the end of a block behaves like kRts (implicit return).
       if (frames_.empty()) {
-        return Finish(r, RunOutcome::kReturned);
+        return finish(RunOutcome::kReturned);
       }
       block_ = frames_.back().block;
-      pc_ = frames_.back().pc;
+      pc = frames_.back().pc;
       frames_.pop_back();
       blk = &store_.Get(block_);
       continue;
     }
 
-    const Instr& in = blk->code[pc_];
-    if (machine_.tracing()) {
-      machine_.Record(block_, pc_, in);
-    }
-    uint32_t next_pc = pc_ + 1;
+    // A copy, not a reference: a trap handler may replace the block, and a
+    // local the stores below cannot alias stays in registers.
+    const Instr in = blk->code[pc];
+    traced = machine_.tracing() ? &machine_.Record(block_, pc, in) : nullptr;
+    uint32_t next_pc = pc + 1;
+    bool taken = false;
 
+    // Each case either falls out to the shared charge below, or charges
+    // itself before host code runs or the run ends.
     switch (in.op) {
       case Opcode::kNop:
       case Opcode::kCharge:
-        charge(in, false);
         break;
 
       case Opcode::kMoveI:
         machine_.set_reg(in.rd, static_cast<uint32_t>(in.imm));
-        charge(in, false);
         break;
       case Opcode::kMove:
         machine_.set_reg(in.rd, machine_.reg(in.rs));
-        charge(in, false);
         break;
       case Opcode::kLea:
         machine_.set_reg(in.rd, machine_.reg(in.rs) + static_cast<uint32_t>(in.imm));
-        charge(in, false);
         break;
 
       case Opcode::kLoad8:
@@ -143,7 +174,6 @@ RunResult Executor::Run(uint64_t max_steps) {
                      : in.op == Opcode::kLoad16 ? machine_.memory().Read16(addr)
                                                 : machine_.memory().Read32(addr);
         machine_.set_reg(in.rd, v);
-        charge(in, false);
         break;
       }
       case Opcode::kStore8:
@@ -162,7 +192,6 @@ RunResult Executor::Run(uint64_t max_steps) {
         } else {
           machine_.memory().Write32(addr, v);
         }
-        charge(in, false);
         break;
       }
 
@@ -178,7 +207,6 @@ RunResult Executor::Run(uint64_t max_steps) {
                      : in.op == Opcode::kLoadA16 ? machine_.memory().Read16(addr)
                                                  : machine_.memory().Read32(addr);
         machine_.set_reg(in.rd, v);
-        charge(in, false);
         break;
       }
       case Opcode::kStoreA8:
@@ -197,7 +225,6 @@ RunResult Executor::Run(uint64_t max_steps) {
         } else {
           machine_.memory().Write32(addr, v);
         }
-        charge(in, false);
         break;
       }
       case Opcode::kLoadIdx32: {
@@ -206,7 +233,6 @@ RunResult Executor::Run(uint64_t max_steps) {
           return fault(FaultKind::kBusError, addr);
         }
         machine_.set_reg(in.rd, machine_.memory().Read32(addr));
-        charge(in, false);
         break;
       }
       case Opcode::kStoreIdx32: {
@@ -215,7 +241,6 @@ RunResult Executor::Run(uint64_t max_steps) {
           return fault(FaultKind::kBusError, addr);
         }
         machine_.memory().Write32(addr, machine_.reg(in.rd));
-        charge(in, false);
         break;
       }
 
@@ -226,7 +251,6 @@ RunResult Executor::Run(uint64_t max_steps) {
         }
         machine_.memory().Write32(sp, machine_.reg(in.rs));
         machine_.set_reg(kA7, sp);
-        charge(in, false);
         break;
       }
       case Opcode::kPop: {
@@ -236,70 +260,54 @@ RunResult Executor::Run(uint64_t max_steps) {
         }
         machine_.set_reg(in.rd, machine_.memory().Read32(sp));
         machine_.set_reg(kA7, sp + 4);
-        charge(in, false);
         break;
       }
 
       case Opcode::kAdd:
         machine_.set_reg(in.rd, machine_.reg(in.rd) + machine_.reg(in.rs));
-        charge(in, false);
         break;
       case Opcode::kAddI:
         machine_.set_reg(in.rd, machine_.reg(in.rd) + static_cast<uint32_t>(in.imm));
-        charge(in, false);
         break;
       case Opcode::kSub:
         machine_.set_reg(in.rd, machine_.reg(in.rd) - machine_.reg(in.rs));
-        charge(in, false);
         break;
       case Opcode::kSubI:
         machine_.set_reg(in.rd, machine_.reg(in.rd) - static_cast<uint32_t>(in.imm));
-        charge(in, false);
         break;
       case Opcode::kMulI:
         machine_.set_reg(in.rd, machine_.reg(in.rd) * static_cast<uint32_t>(in.imm));
-        charge(in, false);
         break;
       case Opcode::kAnd:
         machine_.set_reg(in.rd, machine_.reg(in.rd) & machine_.reg(in.rs));
-        charge(in, false);
         break;
       case Opcode::kAndI:
         machine_.set_reg(in.rd, machine_.reg(in.rd) & static_cast<uint32_t>(in.imm));
-        charge(in, false);
         break;
       case Opcode::kOr:
         machine_.set_reg(in.rd, machine_.reg(in.rd) | machine_.reg(in.rs));
-        charge(in, false);
         break;
       case Opcode::kOrI:
         machine_.set_reg(in.rd, machine_.reg(in.rd) | static_cast<uint32_t>(in.imm));
-        charge(in, false);
         break;
       case Opcode::kXor:
         machine_.set_reg(in.rd, machine_.reg(in.rd) ^ machine_.reg(in.rs));
-        charge(in, false);
         break;
       case Opcode::kLslI:
         machine_.set_reg(in.rd, machine_.reg(in.rd) << (in.imm & 31));
-        charge(in, false);
         break;
       case Opcode::kLsrI:
         machine_.set_reg(in.rd, machine_.reg(in.rd) >> (in.imm & 31));
-        charge(in, false);
         break;
 
       case Opcode::kCmp:
         machine_.SetCc(machine_.reg(in.rd), machine_.reg(in.rs));
-        charge(in, false);
         break;
       case Opcode::kCmpI:
         machine_.SetCc(machine_.reg(in.rd), static_cast<uint32_t>(in.imm));
-        charge(in, false);
         break;
       case Opcode::kTst:
         machine_.SetCc(machine_.reg(in.rd), 0);
-        charge(in, false);
         break;
 
       case Opcode::kBra:
@@ -311,9 +319,8 @@ RunResult Executor::Run(uint64_t max_steps) {
       case Opcode::kBle:
       case Opcode::kBhi:
       case Opcode::kBls: {
-        bool taken = in.op == Opcode::kBra ||
-                     EvalBranch(in.op, machine_.cc_lhs(), machine_.cc_rhs());
-        charge(in, taken);
+        taken = in.op == Opcode::kBra ||
+                EvalBranch(in.op, machine_.cc_lhs(), machine_.cc_rhs());
         if (taken) {
           next_pc = static_cast<uint32_t>(in.imm);
         }
@@ -328,35 +335,32 @@ RunResult Executor::Run(uint64_t max_steps) {
         if (!store_.Valid(target)) {
           return fault(FaultKind::kBadBlock);
         }
-        charge(in, false);
         frames_.push_back(Frame{block_, next_pc});
         block_ = target;
         blk = &store_.Get(block_);
-        pc_ = 0;
-        continue;
+        next_pc = 0;
+        break;
       }
       case Opcode::kJmpInd: {
         BlockId target = static_cast<BlockId>(machine_.reg(in.rs));
         if (!store_.Valid(target)) {
           return fault(FaultKind::kBadBlock);
         }
-        charge(in, false);
         block_ = target;
         blk = &store_.Get(block_);
-        pc_ = 0;
-        continue;
+        next_pc = 0;
+        break;
       }
-      case Opcode::kRts: {
-        charge(in, false);
+      case Opcode::kRts:
         if (frames_.empty()) {
-          return Finish(r, RunOutcome::kReturned);
+          charge(in, false);
+          return finish(RunOutcome::kReturned);
         }
         block_ = frames_.back().block;
-        pc_ = frames_.back().pc;
+        next_pc = frames_.back().pc;
         frames_.pop_back();
         blk = &store_.Get(block_);
-        continue;
-      }
+        break;
 
       case Opcode::kCas:
       case Opcode::kCasA: {
@@ -375,12 +379,14 @@ RunResult Executor::Run(uint64_t max_steps) {
           machine_.set_reg(kD0, mem);
           machine_.SetCc(0, 1);  // "not equal": failure
         }
-        charge(in, false);
         break;
       }
 
       case Opcode::kTrap: {
         charge(in, false);
+        // The handler sees every instruction up to and including this trap
+        // billed, and pc_ at the trap (a nested Call saves and restores it).
+        publish();
         TrapAction action =
             trap_handler_ ? trap_handler_(in.imm, machine_) : TrapAction::kFault;
         // The handler may have replaced the current block in the store
@@ -390,16 +396,17 @@ RunResult Executor::Run(uint64_t max_steps) {
           case TrapAction::kContinue:
             break;
           case TrapAction::kBlock:
-            // Leave pc_ at the trap so Resume() retries it.
+            // Leave pc at the trap so Resume() retries it.
             r.trap_vector = in.imm;
-            return Finish(r, RunOutcome::kBlocked);
+            return finish(RunOutcome::kBlocked);
           case TrapAction::kHalt:
-            pc_ = next_pc;
-            return Finish(r, RunOutcome::kHalted);
+            pc = next_pc;
+            return finish(RunOutcome::kHalted);
           case TrapAction::kFault:
             return fault(FaultKind::kBadOpcode);
         }
-        break;
+        pc = next_pc;
+        continue;  // charged before the handler ran
       }
 
       case Opcode::kMovemSave:
@@ -421,27 +428,26 @@ RunResult Executor::Run(uint64_t max_steps) {
             machine_.set_reg(static_cast<uint8_t>(i), machine_.memory().Read32(slot));
           }
         }
-        charge(in, false);
         break;
       }
 
       case Opcode::kSetVbr:
         machine_.set_vbr(machine_.reg(in.rs));
-        charge(in, false);
         break;
 
       case Opcode::kHalt:
         charge(in, false);
-        pc_ = next_pc;
-        return Finish(r, RunOutcome::kHalted);
+        pc = next_pc;
+        return finish(RunOutcome::kHalted);
 
       case Opcode::kNumOpcodes:
         return fault(FaultKind::kBadOpcode);
     }
 
-    pc_ = next_pc;
+    charge(in, taken);
+    pc = next_pc;
   }
-  return Finish(r, RunOutcome::kStepLimit);
+  return finish(RunOutcome::kStepLimit);
 }
 
 }  // namespace synthesis

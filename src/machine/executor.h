@@ -3,6 +3,12 @@
 // counters. Supports suspend/resume so that a simulated thread can block in a
 // trap and be continued later, and an interrupt poll so device interrupts can
 // preempt execution at instruction boundaries.
+//
+// Run() tallies in locals and publishes the counters (and current_pc()) at
+// three boundaries: before every trap-handler call, before every interrupt
+// poll, and on every exit. Host code only runs at those points, so a trap
+// handler, a nested Call or a Stopwatch always sees every earlier instruction
+// billed exactly once.
 #ifndef SRC_MACHINE_EXECUTOR_H_
 #define SRC_MACHINE_EXECUTOR_H_
 

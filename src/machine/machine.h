@@ -22,6 +22,7 @@ struct TraceEntry {
   BlockId block = kInvalidBlock;
   uint32_t pc = 0;
   Instr instr;
+  uint32_t cycles = 0;  // what the executor charged (0 for a faulting fetch)
 };
 
 class Machine {
@@ -99,11 +100,12 @@ class Machine {
   // --- Execution trace ----------------------------------------------------------
   void set_tracing(bool on) { tracing_ = on; }
   bool tracing() const { return tracing_; }
-  void Record(BlockId block, uint32_t pc, const Instr& instr) {
+  // The executor records at fetch and fills in `cycles` when it charges.
+  TraceEntry& Record(BlockId block, uint32_t pc, const Instr& instr) {
     if (trace_.size() >= kTraceCapacity) {
       trace_.pop_front();
     }
-    trace_.push_back(TraceEntry{block, pc, instr});
+    return trace_.emplace_back(TraceEntry{block, pc, instr});
   }
   const std::deque<TraceEntry>& trace() const { return trace_; }
   void ClearTrace() { trace_.clear(); }

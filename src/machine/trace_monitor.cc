@@ -11,14 +11,13 @@ std::string TraceMonitor::FormatTrace(size_t n) const {
   const auto& trace = machine_.trace();
   size_t start = trace.size() > n ? trace.size() - n : 0;
   std::string out;
-  const CostModel& cm = machine_.cost_model();
   for (size_t i = start; i < trace.size(); i++) {
     const TraceEntry& e = trace[i];
     const char* name =
         store_.Valid(e.block) ? store_.Get(e.block).name.c_str() : "?";
     char line[160];
     std::snprintf(line, sizeof(line), "%-24s %4u: %-28s ; %u cycles\n", name, e.pc,
-                  Disassemble(e.instr).c_str(), cm.Cycles(e.instr, true));
+                  Disassemble(e.instr).c_str(), e.cycles);
     out += line;
   }
   return out;
@@ -26,7 +25,6 @@ std::string TraceMonitor::FormatTrace(size_t n) const {
 
 std::vector<TraceMonitor::BlockProfile> TraceMonitor::Profile() const {
   std::map<BlockId, BlockProfile> acc;
-  const CostModel& cm = machine_.cost_model();
   for (const TraceEntry& e : machine_.trace()) {
     BlockProfile& p = acc[e.block];
     if (p.instructions == 0) {
@@ -34,7 +32,7 @@ std::vector<TraceMonitor::BlockProfile> TraceMonitor::Profile() const {
       p.name = store_.Valid(e.block) ? store_.Get(e.block).name : "?";
     }
     p.instructions++;
-    p.cycles += cm.Cycles(e.instr, true);
+    p.cycles += e.cycles;
   }
   std::vector<BlockProfile> out;
   out.reserve(acc.size());

@@ -2,8 +2,8 @@
 // monitor execution trace, which records in memory the instructions executed
 // by the current thread. Using this trace, we can calculate the exact kernel
 // call times by counting the memory references and each instruction
-// execution time." This class formats the Machine's trace buffer, attributes
-// cycles per instruction with the cost model, and profiles hot blocks.
+// execution time." This class formats the Machine's trace buffer with the
+// cycles the executor charged each instruction, and profiles hot blocks.
 #ifndef SRC_MACHINE_TRACE_MONITOR_H_
 #define SRC_MACHINE_TRACE_MONITOR_H_
 
@@ -26,12 +26,13 @@ class TraceMonitor {
   std::string FormatTrace(size_t n = 32) const;
 
   // Per-block execution profile over the whole trace buffer: instruction
-  // counts and estimated cycles, hottest first.
+  // counts and charged cycles, hottest first. Over a trap-free window the
+  // cycles sum to the Stopwatch delta.
   struct BlockProfile {
     std::string name;
     BlockId block = kInvalidBlock;
     uint64_t instructions = 0;
-    uint64_t cycles = 0;  // estimated: taken-branch costs assumed
+    uint64_t cycles = 0;
   };
   std::vector<BlockProfile> Profile() const;
   std::string FormatProfile(size_t top = 10) const;

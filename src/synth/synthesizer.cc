@@ -617,6 +617,15 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
     if (options.dead_code_elim && !code.empty()) {
       size_t n = code.size();
       const uint32_t return_live = options.live_out;
+      // Def/use is a static fact of each instruction: derive it once per
+      // pass, not on every fixpoint iteration.
+      std::vector<DefUse> defuse(n);
+      for (size_t idx = 0; idx < n; idx++) {
+        defuse[idx] = DefUseOf(code[idx]);
+        if (code[idx].op == Opcode::kRts || code[idx].op == Opcode::kHalt) {
+          defuse[idx].use = return_live;  // calling convention, not "everything"
+        }
+      }
       std::vector<uint32_t> live(n + 1, 0);
       live[n] = return_live;  // falling off the end returns to the caller
       bool grew = true;
@@ -624,10 +633,7 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
         grew = false;
         for (size_t idx = n; idx-- > 0;) {
           const Instr& in = code[idx];
-          DefUse du = DefUseOf(in);
-          if (in.op == Opcode::kRts || in.op == Opcode::kHalt) {
-            du.use = return_live;  // calling convention, not "everything"
-          }
+          const DefUse& du = defuse[idx];
           uint32_t out_live;
           if (in.op == Opcode::kRts || in.op == Opcode::kHalt ||
               in.op == Opcode::kJmpInd) {
@@ -660,7 +666,7 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
       bool any = false;
       for (size_t idx = 0; idx < n; idx++) {
         const Instr& in = code[idx];
-        DefUse du = DefUseOf(in);
+        const DefUse& du = defuse[idx];
         uint32_t out_live = idx + 1 <= n ? live[idx + 1] : kAllRegs;
         if (du.removable && in.op != Opcode::kNop && (du.def & out_live) == 0) {
           keep[idx] = false;

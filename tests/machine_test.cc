@@ -7,6 +7,7 @@
 #include "src/machine/disasm.h"
 #include "src/machine/executor.h"
 #include "src/machine/machine.h"
+#include "src/machine/trace_monitor.h"
 
 namespace synthesis {
 namespace {
@@ -202,6 +203,71 @@ TEST_F(MachineTest, TrapHandlerContinue) {
   EXPECT_EQ(m_.reg(kD0), 78u);
 }
 
+TEST_F(MachineTest, TrapHandlerSeesEveryEarlierInstructionBilled) {
+  Stopwatch sw(m_);
+  uint64_t seen_cycles = 0, seen_instrs = 0, seen_refs = 0;
+  uint32_t seen_pc = 0;
+  exec_.SetTrapHandler([&](int, Machine& m) {
+    seen_cycles = m.cycles();
+    seen_instrs = m.instructions();
+    seen_refs = m.mem_refs();
+    seen_pc = exec_.current_pc();
+    m.Charge(100);  // host-modelled work: the machine's, not the run's
+    return TrapAction::kContinue;
+  });
+  Asm a("mid");
+  a.MoveI(kA0, 0x100).Load32(kD0, kA0, 0).AddI(kD0, 1).Trap(5).AddI(kD0, 1).Rts();
+  store_.Install(a.BuildBlock());
+  RunResult r = exec_.Call(1);
+  ASSERT_EQ(r.outcome, RunOutcome::kReturned);
+  // movei 4 + load32 (4 + 3) + addi 4 + trap (20 + 4 * 3) = 47 cycles.
+  EXPECT_EQ(seen_cycles, 47u);
+  EXPECT_EQ(seen_instrs, 4u);
+  EXPECT_EQ(seen_refs, 5u);
+  EXPECT_EQ(seen_pc, 3u);
+  // Then addi 4 + rts (8 + 3): the run bills 62; the machine adds the 100.
+  EXPECT_EQ(r.cycles, 62u);
+  EXPECT_EQ(r.instructions, 6u);
+  EXPECT_EQ(r.mem_refs, 6u);
+  EXPECT_EQ(sw.cycles(), 162u);
+  EXPECT_EQ(sw.instructions(), 6u);
+  EXPECT_EQ(sw.mem_refs(), 6u);
+}
+
+TEST_F(MachineTest, NestedCallFromTrapBillsBothSessionsOnce) {
+  Asm inner("inner");
+  inner.MoveI(kD1, 7).AddI(kD1, 1).Rts();
+  BlockId inner_id = store_.Install(inner.BuildBlock());
+  Asm outer("outer");
+  outer.MoveI(kD0, 1).Trap(9).AddI(kD0, 1).Rts();
+  BlockId outer_id = store_.Install(outer.BuildBlock());
+
+  RunResult nested;
+  uint64_t cycles_at_trap = 0;
+  exec_.SetTrapHandler([&](int, Machine& m) {
+    cycles_at_trap = m.cycles();
+    nested = exec_.Call(inner_id);
+    return TrapAction::kContinue;
+  });
+  Stopwatch sw(m_);
+  RunResult r = exec_.Call(outer_id);
+  ASSERT_EQ(r.outcome, RunOutcome::kReturned);
+  ASSERT_EQ(nested.outcome, RunOutcome::kReturned);
+  EXPECT_EQ(m_.reg(kD0), 2u);
+  EXPECT_EQ(m_.reg(kD1), 8u);
+  EXPECT_EQ(cycles_at_trap, 36u);  // movei 4 + trap 32
+  // Inner: movei 4 + addi 4 + rts 11. Outer: movei 4 + trap 32 + addi 4 + rts 11.
+  EXPECT_EQ(nested.cycles, 19u);
+  EXPECT_EQ(nested.instructions, 3u);
+  EXPECT_EQ(nested.mem_refs, 1u);
+  EXPECT_EQ(r.cycles, 51u);
+  EXPECT_EQ(r.instructions, 4u);
+  EXPECT_EQ(r.mem_refs, 5u);
+  EXPECT_EQ(sw.cycles(), 70u);
+  EXPECT_EQ(sw.instructions(), 7u);
+  EXPECT_EQ(sw.mem_refs(), 6u);
+}
+
 TEST_F(MachineTest, TrapBlockAndResumeRetriesTrap) {
   int calls = 0;
   exec_.SetTrapHandler([&](int vec, Machine&) {
@@ -279,6 +345,48 @@ TEST_F(MachineTest, StepLimitIsResumable) {
   r = exec_.Run(100);
   EXPECT_EQ(r.outcome, RunOutcome::kStepLimit);
   EXPECT_EQ(r.instructions, 100u);
+
+  // A countdown with loads, calls and both branch outcomes, run once
+  // uninterrupted and once in 7-instruction slices, bills the same totals.
+  Asm leaf("leaf");
+  leaf.Load32(kD2, kA0, 0).Rts();
+  BlockId leaf_id = store_.Install(leaf.BuildBlock());
+  Asm loop("countdown");
+  loop.MoveI(kA0, 0x100).MoveI(kD1, 20);
+  loop.Label("top").Tst(kD1).Beq("done");
+  loop.Jsr(leaf_id).SubI(kD1, 1).Bra("top");
+  loop.Label("done").Rts();
+  BlockId loop_id = store_.Install(loop.BuildBlock());
+
+  Stopwatch whole_sw(m_);
+  RunResult whole = exec_.Call(loop_id);
+  ASSERT_EQ(whole.outcome, RunOutcome::kReturned);
+  const uint64_t whole_cycles = whole_sw.cycles();
+  const uint64_t whole_instrs = whole_sw.instructions();
+  const uint64_t whole_refs = whole_sw.mem_refs();
+  EXPECT_EQ(whole.cycles, whole_cycles);
+  EXPECT_EQ(whole.instructions, whole_instrs);
+  EXPECT_EQ(whole.mem_refs, whole_refs);
+
+  Stopwatch split_sw(m_);
+  RunResult sum;
+  exec_.Start(loop_id);
+  int slices = 0;
+  do {
+    r = exec_.Run(7);
+    sum.instructions += r.instructions;
+    sum.cycles += r.cycles;
+    sum.mem_refs += r.mem_refs;
+    slices++;
+  } while (r.outcome == RunOutcome::kStepLimit);
+  EXPECT_EQ(r.outcome, RunOutcome::kReturned);
+  EXPECT_GT(slices, 10);
+  EXPECT_EQ(sum.instructions, whole.instructions);
+  EXPECT_EQ(sum.cycles, whole.cycles);
+  EXPECT_EQ(sum.mem_refs, whole.mem_refs);
+  EXPECT_EQ(split_sw.instructions(), whole_instrs);
+  EXPECT_EQ(split_sw.cycles(), whole_cycles);
+  EXPECT_EQ(split_sw.mem_refs(), whole_refs);
 }
 
 TEST_F(MachineTest, CycleAccountingAndClock) {
@@ -304,6 +412,102 @@ TEST_F(MachineTest, NativeClockIsFaster) {
   EXPECT_DOUBLE_EQ(fast.NowMicros(), 14.0 / 50.0);
 }
 
+// Expected cost of each opcode, transcribed from the 68020 calibration:
+// cycles under SunEmulation (3-cycle bus) and NativeQuamachine (2-cycle bus),
+// branch not taken / taken, and data-memory references. Fixed-cost opcodes
+// carry an arbitrary imm to show it does not matter to them.
+struct ExpectedCost {
+  Opcode op;
+  int32_t imm;
+  uint32_t sun[2];
+  uint32_t native[2];
+  uint32_t refs;
+};
+
+constexpr ExpectedCost kExpectedCosts[] = {
+    {Opcode::kNop, 99, {2, 2}, {2, 2}, 0},
+    {Opcode::kMoveI, 99, {4, 4}, {4, 4}, 0},
+    {Opcode::kMove, 99, {2, 2}, {2, 2}, 0},
+    {Opcode::kLea, 99, {4, 4}, {4, 4}, 0},
+    {Opcode::kLoad8, 99, {7, 7}, {6, 6}, 1},
+    {Opcode::kLoad16, 99, {7, 7}, {6, 6}, 1},
+    {Opcode::kLoad32, 99, {7, 7}, {6, 6}, 1},
+    {Opcode::kStore8, 99, {7, 7}, {6, 6}, 1},
+    {Opcode::kStore16, 99, {7, 7}, {6, 6}, 1},
+    {Opcode::kStore32, 99, {7, 7}, {6, 6}, 1},
+    {Opcode::kLoadA8, 99, {7, 7}, {6, 6}, 1},
+    {Opcode::kLoadA16, 99, {7, 7}, {6, 6}, 1},
+    {Opcode::kLoadA32, 99, {7, 7}, {6, 6}, 1},
+    {Opcode::kStoreA8, 99, {7, 7}, {6, 6}, 1},
+    {Opcode::kStoreA16, 99, {7, 7}, {6, 6}, 1},
+    {Opcode::kStoreA32, 99, {7, 7}, {6, 6}, 1},
+    {Opcode::kLoadIdx32, 99, {9, 9}, {8, 8}, 1},
+    {Opcode::kStoreIdx32, 99, {9, 9}, {8, 8}, 1},
+    {Opcode::kPush, 99, {7, 7}, {6, 6}, 1},
+    {Opcode::kPop, 99, {7, 7}, {6, 6}, 1},
+    {Opcode::kAdd, 99, {2, 2}, {2, 2}, 0},
+    {Opcode::kAddI, 99, {4, 4}, {4, 4}, 0},
+    {Opcode::kSub, 99, {2, 2}, {2, 2}, 0},
+    {Opcode::kSubI, 99, {4, 4}, {4, 4}, 0},
+    {Opcode::kMulI, 99, {28, 28}, {28, 28}, 0},
+    {Opcode::kAnd, 99, {2, 2}, {2, 2}, 0},
+    {Opcode::kAndI, 99, {4, 4}, {4, 4}, 0},
+    {Opcode::kOr, 99, {2, 2}, {2, 2}, 0},
+    {Opcode::kOrI, 99, {4, 4}, {4, 4}, 0},
+    {Opcode::kXor, 99, {2, 2}, {2, 2}, 0},
+    {Opcode::kLslI, 99, {4, 4}, {4, 4}, 0},
+    {Opcode::kLsrI, 99, {4, 4}, {4, 4}, 0},
+    {Opcode::kCmp, 99, {2, 2}, {2, 2}, 0},
+    {Opcode::kCmpI, 99, {4, 4}, {4, 4}, 0},
+    {Opcode::kTst, 99, {2, 2}, {2, 2}, 0},
+    {Opcode::kBra, 99, {6, 6}, {6, 6}, 0},
+    {Opcode::kBeq, 99, {4, 6}, {4, 6}, 0},
+    {Opcode::kBne, 99, {4, 6}, {4, 6}, 0},
+    {Opcode::kBlt, 99, {4, 6}, {4, 6}, 0},
+    {Opcode::kBge, 99, {4, 6}, {4, 6}, 0},
+    {Opcode::kBgt, 99, {4, 6}, {4, 6}, 0},
+    {Opcode::kBle, 99, {4, 6}, {4, 6}, 0},
+    {Opcode::kBhi, 99, {4, 6}, {4, 6}, 0},
+    {Opcode::kBls, 99, {4, 6}, {4, 6}, 0},
+    {Opcode::kJsr, 99, {11, 11}, {10, 10}, 1},
+    {Opcode::kJsrInd, 99, {13, 13}, {12, 12}, 1},
+    {Opcode::kJmpInd, 99, {6, 6}, {6, 6}, 0},
+    {Opcode::kRts, 99, {11, 11}, {10, 10}, 1},
+    {Opcode::kCas, 99, {18, 18}, {16, 16}, 2},
+    {Opcode::kCasA, 99, {18, 18}, {16, 16}, 2},
+    {Opcode::kTrap, 99, {32, 32}, {28, 28}, 4},
+    // MOVEM: 4 + n sequencing cycles plus n bus cycles.
+    {Opcode::kMovemSave, 4, {20, 20}, {16, 16}, 4},
+    {Opcode::kMovemSave, 16, {68, 68}, {52, 52}, 16},
+    {Opcode::kMovemLoad, 4, {20, 20}, {16, 16}, 4},
+    {Opcode::kMovemLoad, 16, {68, 68}, {52, 52}, 16},
+    {Opcode::kSetVbr, 99, {8, 8}, {8, 8}, 0},
+    // Charge: exactly imm cycles.
+    {Opcode::kCharge, 7, {7, 7}, {7, 7}, 0},
+    {Opcode::kCharge, 300, {300, 300}, {300, 300}, 0},
+    {Opcode::kHalt, 99, {2, 2}, {2, 2}, 0},
+};
+
+TEST(CostTableTest, EveryOpcodeMatchesTheCalibration) {
+  const CostModel sun(MachineConfig::SunEmulation());
+  const CostModel native(MachineConfig::NativeQuamachine());
+  int rows[static_cast<size_t>(Opcode::kNumOpcodes)] = {};
+  for (const ExpectedCost& e : kExpectedCosts) {
+    rows[static_cast<size_t>(e.op)]++;
+    const Instr in{e.op, 1, 2, e.imm};
+    for (bool taken : {false, true}) {
+      EXPECT_EQ(sun.Cycles(in, taken), e.sun[taken])
+          << OpcodeName(e.op) << " imm " << e.imm << " taken " << taken;
+      EXPECT_EQ(native.Cycles(in, taken), e.native[taken])
+          << OpcodeName(e.op) << " imm " << e.imm << " taken " << taken;
+    }
+    EXPECT_EQ(CostModel::MemRefs(in), e.refs) << OpcodeName(e.op) << " imm " << e.imm;
+  }
+  for (size_t op = 0; op < static_cast<size_t>(Opcode::kNumOpcodes); op++) {
+    EXPECT_GE(rows[op], 1) << OpcodeName(static_cast<Opcode>(op)) << " has no expected row";
+  }
+}
+
 TEST_F(MachineTest, TraceRecordsExecution) {
   m_.set_tracing(true);
   Asm a("traced");
@@ -313,6 +517,45 @@ TEST_F(MachineTest, TraceRecordsExecution) {
   ASSERT_EQ(m_.trace().size(), 3u);
   EXPECT_EQ(m_.trace()[0].instr.op, Opcode::kMoveI);
   EXPECT_EQ(m_.trace()[2].instr.op, Opcode::kRts);
+}
+
+TEST_F(MachineTest, TraceProfileSumsToTheStopwatch) {
+  // A trap-free run with taken and not-taken branches across two blocks: the
+  // kernel monitor's cycles are the ones the executor charged.
+  Asm leaf("leaf");
+  leaf.Load32(kD2, kA0, 0).Rts();
+  BlockId leaf_id = store_.Install(leaf.BuildBlock());
+  Asm loop("loop");
+  loop.MoveI(kA0, 0x100).MoveI(kD1, 3);
+  loop.Label("top").Tst(kD1).Beq("done");
+  loop.Jsr(leaf_id).SubI(kD1, 1).Bra("top");
+  loop.Label("done").Rts();
+  BlockId loop_id = store_.Install(loop.BuildBlock());
+
+  m_.set_tracing(true);
+  Stopwatch sw(m_);
+  ASSERT_EQ(exec_.Call(loop_id).outcome, RunOutcome::kReturned);
+  TraceMonitor monitor(m_, store_);
+  ASSERT_EQ(monitor.TraceLength(), sw.instructions());
+  uint64_t cycles = 0, instrs = 0;
+  for (const TraceMonitor::BlockProfile& p : monitor.Profile()) {
+    cycles += p.cycles;
+    instrs += p.instructions;
+  }
+  EXPECT_EQ(instrs, sw.instructions());
+  EXPECT_EQ(cycles, sw.cycles());
+  // The three not-taken beqs are billed 4 cycles each, the final taken one 6.
+  int not_taken = 0, taken = 0;
+  for (const TraceEntry& e : m_.trace()) {
+    if (e.instr.op == Opcode::kBeq) {
+      not_taken += e.cycles == 4;
+      taken += e.cycles == 6;
+    }
+  }
+  EXPECT_EQ(not_taken, 3);
+  EXPECT_EQ(taken, 1);
+  EXPECT_NE(monitor.FormatTrace(1).find("; 11 cycles"), std::string::npos)
+      << monitor.FormatTrace(1);  // the final rts: 8 + 1 memref * 3
 }
 
 TEST_F(MachineTest, StopwatchMeasuresDeltas) {
