@@ -118,6 +118,15 @@ done
 # injected kCodeInstall refusal must fall back — then complete after disarm.
 (cd "$BUILD_DIR" && ./bench/table15_adapt > /dev/null)
 
+# Example smoke (well under 1 s together): every example binary must exit 0.
+# net_echo exits 1 if any payload is lost; c10k_server drives the
+# degrade-then-resynthesize ladder and exits 1 if any of its checks fails.
+for e in "$BUILD_DIR"/examples/*; do
+  [[ -f "$e" && -x "$e" ]] || continue
+  (cd "$BUILD_DIR" && "./examples/$(basename "$e")" > /dev/null) \
+    || { echo "verify: example $(basename "$e") failed" >&2; exit 1; }
+done
+
 # Every bench JSON the tree produced must parse; a malformed artifact fails
 # the gate rather than silently shipping a broken table.
 if command -v python3 > /dev/null; then

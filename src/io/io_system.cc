@@ -750,7 +750,6 @@ ChannelId IoSystem::InstallChannel(Channel chan, const std::string& tag) {
                                      &inv, "read$" + tag, &last_read_stats);
   };
   chan.read_spec = kernel_.spec().Register(std::move(rd));
-  chan.read_code = kernel_.spec().ActiveOf(chan.read_spec);
   SpecDesc wd;
   wd.name = "io_write$" + tag;
   wd.adaptive = false;
@@ -761,8 +760,8 @@ ChannelId IoSystem::InstallChannel(Channel chan, const std::string& tag) {
                                      b, &inv, "write$" + tag);
   };
   chan.write_spec = kernel_.spec().Register(std::move(wd));
-  chan.write_code = kernel_.spec().ActiveOf(chan.write_spec);
-  if (chan.read_code == kInvalidBlock || chan.write_code == kInvalidBlock) {
+  if (kernel_.spec().ActiveOf(chan.read_spec) == kInvalidBlock ||
+      kernel_.spec().ActiveOf(chan.write_spec) == kInvalidBlock) {
     // Code-store pressure: retire whichever half made it, free the record,
     // and surface the failure as a bad channel — no partial installs leak.
     kernel_.spec().Retire(chan.read_spec);
@@ -864,7 +863,8 @@ int32_t IoSystem::CachedIo(Channel& c, bool is_write, Addr buf, uint32_t n) {
   for (;;) {
     m.set_reg(kA1, buf + total);
     m.set_reg(kD2, n - total);
-    RunResult r = kernel_.kexec().Call(is_write ? c.write_code : c.read_code);
+    RunResult r = kernel_.kexec().Call(
+        kernel_.spec().ActiveOf(is_write ? c.write_spec : c.read_spec));
     if (r.outcome != RunOutcome::kReturned) {
       return kIoError;
     }
@@ -925,7 +925,7 @@ int32_t IoSystem::Read(ChannelId ch, Addr dst, uint32_t n) {
   Machine& m = kernel_.machine();
   m.set_reg(kA1, dst);
   m.set_reg(kD2, n);
-  RunResult r = kernel_.kexec().Call(c->read_code);
+  RunResult r = kernel_.kexec().Call(kernel_.spec().ActiveOf(c->read_spec));
   if (r.outcome != RunOutcome::kReturned) {
     return kIoError;
   }
@@ -958,7 +958,7 @@ int32_t IoSystem::Write(ChannelId ch, Addr src, uint32_t n) {
   Machine& m = kernel_.machine();
   m.set_reg(kA1, src);
   m.set_reg(kD2, n);
-  RunResult r = kernel_.kexec().Call(c->write_code);
+  RunResult r = kernel_.kexec().Call(kernel_.spec().ActiveOf(c->write_spec));
   if (r.outcome != RunOutcome::kReturned) {
     return kIoError;
   }
@@ -1009,12 +1009,15 @@ void IoSystem::Close(ChannelId ch) {
 
 BlockId IoSystem::ReadCodeOf(ChannelId ch) const {
   auto it = channels_.find(ch);
-  return it == channels_.end() ? kInvalidBlock : it->second.read_code;
+  return it == channels_.end() ? kInvalidBlock
+                               : kernel_.spec().ActiveOf(it->second.read_spec);
 }
 
 BlockId IoSystem::WriteCodeOf(ChannelId ch) const {
   auto it = channels_.find(ch);
-  return it == channels_.end() ? kInvalidBlock : it->second.write_code;
+  return it == channels_.end()
+             ? kInvalidBlock
+             : kernel_.spec().ActiveOf(it->second.write_spec);
 }
 
 Addr IoSystem::RecordOf(ChannelId ch) const {

@@ -127,8 +127,8 @@ class IoSystem {
   struct Channel {
     Addr record = 0;
     DeviceType type = DeviceType::kNull;
-    BlockId read_code = kInvalidBlock;   // mirror of read_spec's active block
-    BlockId write_code = kInvalidBlock;  // mirror of write_spec's active block
+    // Handles behind the channel's read/write code; the Specializer holds
+    // the active blocks.
     SpecId read_spec = kBadSpec;
     SpecId write_spec = kBadSpec;
     std::shared_ptr<RingHost> rd_ring;

@@ -110,7 +110,9 @@ class Kernel {
                             const SynthesisOptions* options = nullptr);
 
   // Same as SynthesizeInstall, but exempt from kCodeInstall fault injection:
-  // for code the kernel cannot run without (thread context-switch blocks).
+  // for code the kernel cannot run without (thread context-switch blocks,
+  // and the network bring-up blocks that are themselves the fallback: NIC
+  // entries, generic demux and batch loops, pool shims and dispatch chains).
   // The fault plane models *refusable* specialization — a layer declining an
   // optimization and falling back to its generic path. A thread has no
   // generic path: under real code-store pressure the kernel would evict to

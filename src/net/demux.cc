@@ -260,25 +260,28 @@ DemuxSynthesizer::DemuxSynthesizer(Kernel& kernel) : kernel_(kernel) {
   }
 
   // The generic path is installed verbatim: it IS the unspecialized layered
-  // kernel a traditional protocol stack runs on every packet.
+  // kernel a traditional protocol stack runs on every packet. It and the
+  // shared helpers are every flow's fallback and have none of their own, so
+  // they install exempt from injected refusal.
   SynthesisOptions verbatim = SynthesisOptions::Disabled();
-  put1_ = kernel_.SynthesizeInstall(Put1Template(), Bindings(), nullptr,
-                                    "net_put1", nullptr, &verbatim);
-  csum_ = kernel_.SynthesizeInstall(CsumTemplate(), Bindings(), nullptr,
-                                    "net_csum", nullptr, &verbatim);
+  put1_ = kernel_.SynthesizeInstallEssential(Put1Template(), Bindings(), nullptr,
+                                             "net_put1", nullptr, &verbatim);
+  csum_ = kernel_.SynthesizeInstallEssential(CsumTemplate(), Bindings(), nullptr,
+                                             "net_csum", nullptr, &verbatim);
   Bindings dg;
   dg.Set("put1", static_cast<int32_t>(put1_));
   dg.Set("ctr_drop", static_cast<int32_t>(ctrs_ + kCtrDrops));
   dg.Set("ctr_total", static_cast<int32_t>(ctrs_ + kCtrTotal));
-  deliver_gen_ = kernel_.SynthesizeInstall(DeliverGenericTemplate(), dg, nullptr,
-                                           "net_deliver_gen", nullptr, &verbatim);
+  deliver_gen_ = kernel_.SynthesizeInstallEssential(
+      DeliverGenericTemplate(), dg, nullptr, "net_deliver_gen", nullptr,
+      &verbatim);
   Bindings gd;
   gd.Set("ftab", static_cast<int32_t>(ftab_));
   gd.Set("csum", static_cast<int32_t>(csum_));
   gd.Set("ctr_mal", static_cast<int32_t>(ctrs_ + kCtrMalformed));
   gd.Set("ctr_csum", static_cast<int32_t>(ctrs_ + kCtrCsum));
-  generic_ = kernel_.SynthesizeInstall(GenericDemuxTemplate(), gd, nullptr,
-                                       "net_demux_gen", nullptr, &verbatim);
+  generic_ = kernel_.SynthesizeInstallEssential(
+      GenericDemuxTemplate(), gd, nullptr, "net_demux_gen", nullptr, &verbatim);
 
   // The lookup block sits behind a Specializer handle whose fallback is the
   // generic walk: a refused install serves every frame through the walk
@@ -291,14 +294,16 @@ DemuxSynthesizer::DemuxSynthesizer(Kernel& kernel) : kernel_(kernel) {
   sd.adaptive = false;
   sd.evictable = false;
   sd.emit = [this](SpecTier) { return BuildTableDemux(); };
-  sd.install = [this](BlockId blk, SpecTier, bool) {
-    synthesized_ = blk;
+  sd.install = [this](BlockId, SpecTier, SpecInstall) {
     if (swap_hook_) {
       swap_hook_();
     }
   };
   spec_ = kernel_.spec().Register(std::move(sd));
-  synthesized_ = kernel_.spec().ActiveOf(spec_);
+}
+
+BlockId DemuxSynthesizer::synthesized_demux() const {
+  return kernel_.spec().ActiveOf(spec_);
 }
 
 DemuxSynthesizer::~DemuxSynthesizer() { kernel_.spec().Retire(spec_); }

@@ -110,9 +110,10 @@ class DemuxSynthesizer {
   Addr ctr_csum_addr() const;
 
   // The two interchangeable demux routines. Both are installed once; flow
-  // changes only rewrite the tables they read.
+  // changes only rewrite the tables they read. The synthesized one is the
+  // lookup handle's active block: the generic walk after a refused emit.
   BlockId generic_demux() const { return generic_; }
-  BlockId synthesized_demux() const { return synthesized_; }
+  BlockId synthesized_demux() const;
 
   // Invoked when the synthesized demux changes hands (a refused install
   // falling back to the generic walk), so the owning device can repoint its
@@ -165,7 +166,6 @@ class DemuxSynthesizer {
   BlockId put1_ = kInvalidBlock;        // generic one-byte ring put
   BlockId deliver_gen_ = kInvalidBlock; // generic layered delivery
   BlockId generic_ = kInvalidBlock;
-  BlockId synthesized_ = kInvalidBlock;
   SpecId spec_ = kBadSpec;  // the lookup block's handle (generic = the walk)
   std::function<void()> swap_hook_;
   std::vector<Flow> flows_;  // flows_[i] is generic-table entry i

@@ -189,6 +189,9 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     return TrapAction::kContinue;
   });
 
+  // The entry blocks and generic batch loops have no fallback, so they
+  // install exempt from injected refusal: a refused one would leave the NIC
+  // silently deaf.
   SynthesisOptions verbatim = SynthesisOptions::Disabled();
 
   if (!batching()) {
@@ -205,8 +208,8 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     rx.JsrInd(kD7);
     rx.Trap(rxdone_vec);
     rx.Rts();
-    rx_entry_ = kernel_.SynthesizeInstall(rx.Build(), Bindings(), nullptr,
-                                          "nic_rx_entry", nullptr, &verbatim);
+    rx_entry_ = kernel_.SynthesizeInstallEssential(
+        rx.Build(), Bindings(), nullptr, "nic_rx_entry", nullptr, &verbatim);
   } else {
     // Batched RX: ONE interrupt covers every due completion. The entry
     // latches the due slots (batchfill trap = the controller's descriptor
@@ -254,9 +257,9 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     g.Bra("loop");
     g.Label("done");
     g.Rts();
-    batch_loop_gen_ = kernel_.SynthesizeInstall(g.Build(), Bindings(), nullptr,
-                                                "nic_rx_batch_gen", nullptr,
-                                                &verbatim);
+    batch_loop_gen_ = kernel_.SynthesizeInstallEssential(
+        g.Build(), Bindings(), nullptr, "nic_rx_batch_gen", nullptr,
+        &verbatim);
     assert(batch_loop_gen_ != kInvalidBlock &&
            "code store exhausted bringing up a NIC");
 
@@ -270,16 +273,8 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     bd.emit = [this, rxdone_vec](SpecTier) {
       return BuildRxBatchLoop(rxdone_vec);
     };
-    bd.install = [this](BlockId blk, SpecTier tier, bool refused) {
-      (void)refused;
-      batch_loop_syn_ = tier == SpecTier::kGeneric ? kInvalidBlock : blk;
-      RefreshDemuxCell();
-    };
+    bd.install = [this](BlockId, SpecTier, SpecInstall) { RefreshDemuxCell(); };
     rx_batch_spec_ = kernel_.spec().Register(std::move(bd));
-    batch_loop_syn_ =
-        kernel_.spec().TierOf(rx_batch_spec_) == SpecTier::kGeneric
-            ? kInvalidBlock
-            : kernel_.spec().ActiveOf(rx_batch_spec_);
     RefreshDemuxCell();  // now that the loops exist, point the batch cell
 
     Asm rx("nic_rx_batch_entry");
@@ -288,9 +283,9 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     rx.LoadA32(kD7, static_cast<int32_t>(batch_cell_));
     rx.JsrInd(kD7);
     rx.Rts();
-    rx_entry_ = kernel_.SynthesizeInstall(rx.Build(), Bindings(), nullptr,
-                                          "nic_rx_batch_entry", nullptr,
-                                          &verbatim);
+    rx_entry_ = kernel_.SynthesizeInstallEssential(
+        rx.Build(), Bindings(), nullptr, "nic_rx_batch_entry", nullptr,
+        &verbatim);
   }
   assert(rx_entry_ != kInvalidBlock && "code store exhausted bringing up a NIC");
   if (config_.install_vectors) {
@@ -304,8 +299,8 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     tx.Charge(40);
     tx.Trap(txdone_vec);
     tx.Rts();
-    tx_entry_ = kernel_.SynthesizeInstall(tx.Build(), Bindings(), nullptr,
-                                          "nic_tx_entry", nullptr, &verbatim);
+    tx_entry_ = kernel_.SynthesizeInstallEssential(
+        tx.Build(), Bindings(), nullptr, "nic_tx_entry", nullptr, &verbatim);
   } else {
     // Coalesced TX-complete: ONE interrupt retires every due frame. The
     // entry latches due slots (txfill trap = the controller's completion
@@ -343,7 +338,7 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     g.Bra("loop");
     g.Label("done");
     g.Rts();
-    tx_batch_loop_gen_ = kernel_.SynthesizeInstall(
+    tx_batch_loop_gen_ = kernel_.SynthesizeInstallEssential(
         g.Build(), Bindings(), nullptr, "nic_tx_batch_gen", nullptr, &verbatim);
     assert(tx_batch_loop_gen_ != kInvalidBlock &&
            "code store exhausted bringing up a NIC");
@@ -359,16 +354,8 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     td.emit = [this, txdone_vec](SpecTier) {
       return BuildTxBatchLoop(txdone_vec);
     };
-    td.install = [this](BlockId blk, SpecTier tier, bool refused) {
-      (void)refused;
-      tx_batch_loop_syn_ = tier == SpecTier::kGeneric ? kInvalidBlock : blk;
-      RefreshDemuxCell();
-    };
+    td.install = [this](BlockId, SpecTier, SpecInstall) { RefreshDemuxCell(); };
     tx_batch_spec_ = kernel_.spec().Register(std::move(td));
-    tx_batch_loop_syn_ =
-        kernel_.spec().TierOf(tx_batch_spec_) == SpecTier::kGeneric
-            ? kInvalidBlock
-            : kernel_.spec().ActiveOf(tx_batch_spec_);
     RefreshDemuxCell();  // now that the loops exist, point the TX batch cell
 
     Asm tx("nic_tx_batch_entry");
@@ -377,9 +364,9 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     tx.LoadA32(kD7, static_cast<int32_t>(tx_batch_cell_));
     tx.JsrInd(kD7);
     tx.Rts();
-    tx_entry_ = kernel_.SynthesizeInstall(tx.Build(), Bindings(), nullptr,
-                                          "nic_tx_batch_entry", nullptr,
-                                          &verbatim);
+    tx_entry_ = kernel_.SynthesizeInstallEssential(
+        tx.Build(), Bindings(), nullptr, "nic_tx_batch_entry", nullptr,
+        &verbatim);
   }
   assert(tx_entry_ != kInvalidBlock && "code store exhausted bringing up a NIC");
   if (config_.install_vectors) {
@@ -478,9 +465,12 @@ void NicDevice::RefreshDemuxCell() {
   mem.Write32(demux_cell_, static_cast<uint32_t>(outer));
   // The batch cell tracks the same synthesized/generic knob, so one switch
   // flips the whole RX path (demux + dispatch loop) between the two variants.
+  // The synthesized side is the loop handle's active block (the generic loop
+  // after a refused emit); before the handle registers it is kInvalidBlock
+  // and the cell is left alone.
   if (batch_cell_ != 0) {
-    BlockId loop = (config_.synthesized_demux && batch_loop_syn_ != kInvalidBlock)
-                       ? batch_loop_syn_
+    BlockId loop = config_.synthesized_demux
+                       ? kernel_.spec().ActiveOf(rx_batch_spec_)
                        : batch_loop_gen_;
     if (loop != kInvalidBlock) {
       mem.Write32(batch_cell_, static_cast<uint32_t>(loop));
@@ -489,10 +479,9 @@ void NicDevice::RefreshDemuxCell() {
   // Same knob drives the TX retire loop, so generic-vs-synthesized ablation
   // flips the whole device, not just receive.
   if (tx_batch_cell_ != 0) {
-    BlockId loop =
-        (config_.synthesized_demux && tx_batch_loop_syn_ != kInvalidBlock)
-            ? tx_batch_loop_syn_
-            : tx_batch_loop_gen_;
+    BlockId loop = config_.synthesized_demux
+                       ? kernel_.spec().ActiveOf(tx_batch_spec_)
+                       : tx_batch_loop_gen_;
     if (loop != kInvalidBlock) {
       mem.Write32(tx_batch_cell_, static_cast<uint32_t>(loop));
     }

@@ -310,7 +310,6 @@ class NicDevice {
   Addr batch_cell_ = 0;
   Addr batch_idx_ = 0;
   BlockId batch_loop_gen_ = kInvalidBlock;
-  BlockId batch_loop_syn_ = kInvalidBlock;
   SpecId rx_batch_spec_ = kBadSpec;
   std::vector<PendingRx> rx_pending_;
   uint64_t rx_pending_seq_ = 0;
@@ -332,7 +331,6 @@ class NicDevice {
   Addr tx_batch_cell_ = 0;
   Addr tx_batch_idx_ = 0;
   BlockId tx_batch_loop_gen_ = kInvalidBlock;
-  BlockId tx_batch_loop_syn_ = kInvalidBlock;
   SpecId tx_batch_spec_ = kBadSpec;
   std::vector<PendingTx> tx_pending_;
   uint64_t tx_pending_seq_ = 0;

@@ -54,14 +54,11 @@ NicPool::NicPool(Kernel& kernel, NicPoolConfig config)
   mem.Write32(shed_ctr_, 0);
   if (config_.admission_control) {
     shed_data_ctr_ = kernel_.allocator().Allocate(4);
-    shed_level_word_ = kernel_.allocator().Allocate(4);
     shed_bitmap_ = kernel_.allocator().Allocate(kShedBitmapBytes);
     shed_mask_tab_ = kernel_.allocator().Allocate(32 * 4);
-    assert(shed_data_ctr_ != 0 && shed_level_word_ != 0 &&
-           shed_bitmap_ != 0 && shed_mask_tab_ != 0 &&
+    assert(shed_data_ctr_ != 0 && shed_bitmap_ != 0 && shed_mask_tab_ != 0 &&
            "kernel memory exhausted bringing up the admission filter");
     mem.Write32(shed_data_ctr_, 0);
-    mem.Write32(shed_level_word_, 0);
     for (uint32_t w = 0; w < kShedBitmapBytes / 4; w++) {
       mem.Write32(shed_bitmap_ + 4 * w, 0);
     }
@@ -79,7 +76,9 @@ NicPool::NicPool(Kernel& kernel, NicPoolConfig config)
   // geometry (NIC count, cell table) from the descriptor on every packet, so
   // any later AddNic is already covered — the defining property (and cost)
   // of the layered path. The dst-port hash is reduced by repeated
-  // subtraction (no divider).
+  // subtraction (no divider). It, the two shims and the dispatch chains
+  // have no fallback, so they install exempt from injected refusal: a
+  // refused one would leave the pool silently deaf.
   SynthesisOptions verbatim = SynthesisOptions::Disabled();
   Asm g("pool_steer_gen");
   g.Load32(kD0, kA1, FrameLayout::kDstPort);
@@ -100,9 +99,8 @@ NicPool::NicPool(Kernel& kernel, NicPoolConfig config)
   g.Load32(kD7, kA2, 0);  // the owning NIC's current demux
   g.JsrInd(kD7);
   g.Rts();
-  steer_generic_ = kernel_.SynthesizeInstall(g.Build(), Bindings(), nullptr,
-                                             "pool_steer_gen", nullptr,
-                                             &verbatim);
+  steer_generic_ = kernel_.SynthesizeInstallEssential(
+      g.Build(), Bindings(), nullptr, "pool_steer_gen", nullptr, &verbatim);
 
   // One shim per vector, installed once: TTEs snapshot their vectors at
   // thread-creation time, so the re-emittable dispatch chain must sit behind
@@ -110,22 +108,17 @@ NicPool::NicPool(Kernel& kernel, NicPoolConfig config)
   Asm rs("pool_rx_shim");
   rs.LoadA32(kD7, static_cast<int32_t>(rx_dispatch_cell_));
   rs.JmpInd(kD7);
-  BlockId rx_shim = kernel_.SynthesizeInstall(rs.Build(), Bindings(), nullptr,
-                                              "pool_rx_shim", nullptr,
-                                              &verbatim);
+  BlockId rx_shim = kernel_.SynthesizeInstallEssential(
+      rs.Build(), Bindings(), nullptr, "pool_rx_shim", nullptr, &verbatim);
   kernel_.SetDefaultVector(Vector::kNetRx, rx_shim);
   Asm ts("pool_tx_shim");
   ts.LoadA32(kD7, static_cast<int32_t>(tx_dispatch_cell_));
   ts.JmpInd(kD7);
-  BlockId tx_shim = kernel_.SynthesizeInstall(ts.Build(), Bindings(), nullptr,
-                                              "pool_tx_shim", nullptr,
-                                              &verbatim);
+  BlockId tx_shim = kernel_.SynthesizeInstallEssential(
+      ts.Build(), Bindings(), nullptr, "pool_tx_shim", nullptr, &verbatim);
   kernel_.SetDefaultVector(Vector::kNetTx, tx_shim);
 
-  EmitSteering();
-  EmitDispatch();
-  EmitShedFilter();
-  ApplySteering();
+  RegisterHandles();
 }
 
 NicPool::~NicPool() {
@@ -171,22 +164,47 @@ void NicPool::WriteDescriptor() {
   kernel_.machine().Charge(8 + 4 * kMaxNics, 2, 1 + kMaxNics);
 }
 
-void NicPool::EmitSteering() {
-  if (steer_spec_ == kBadSpec) {
-    SpecDesc sd;
-    sd.name = "pool_steer";
-    sd.generic = steer_generic_;
-    sd.adaptive = false;   // re-folded on geometry change, not on heat
-    sd.evictable = false;  // one pool-wide block; eviction fodder lives below
-    sd.emit = [this](SpecTier) { return BuildSteering(); };
-    sd.install = [this](BlockId blk, SpecTier tier, bool refused) {
-      InstallSteering(blk, tier, refused);
-    };
-    steer_spec_ = kernel_.spec().Register(std::move(sd));
-    steer_synth_ = kernel_.spec().ActiveOf(steer_spec_);
-    return;
+void NicPool::RegisterHandles() {
+  SpecDesc sd;
+  sd.name = "pool_steer";
+  sd.generic = steer_generic_;
+  sd.adaptive = false;   // re-folded on geometry change, not on heat
+  sd.evictable = false;  // one pool-wide block; eviction fodder lives below
+  sd.emit = [this](SpecTier) { return BuildSteering(); };
+  // A refusal fell back to the always-correct generic loop; the displaced
+  // block retires deferred, after the cells are repointed.
+  sd.install = [this](BlockId, SpecTier, SpecInstall) { ApplySteering(); };
+  steer_spec_ = kernel_.spec().Register(std::move(sd));
+
+  // The dispatch chains have no generic twin, so they install exempt from
+  // injected refusal. A live-block cap can still refuse a re-emit: that
+  // keeps the previous chain — stale (it misses the newest NIC) but safe;
+  // the adaptation sweep retries while the handle stays degraded.
+  for (bool rx : {true, false}) {
+    SpecDesc dd;
+    dd.name = rx ? "pool_rx_dispatch" : "pool_tx_dispatch";
+    dd.adaptive = false;
+    dd.evictable = false;
+    dd.emit = [this, rx](SpecTier) { return BuildDispatch(rx); };
+    dd.install = [this](BlockId, SpecTier, SpecInstall) { WireDispatch(); };
+    (rx ? rx_dispatch_spec_ : tx_dispatch_spec_) =
+        kernel_.spec().Register(std::move(dd));
   }
-  kernel_.spec().Reemit(steer_spec_);
+  WireDispatch();
+
+  if (config_.admission_control) {
+    SpecDesc fd;
+    fd.name = "pool_shed";
+    fd.adaptive = false;   // re-shaped by watermarks and churn, not heat
+    fd.evictable = false;  // the armor must not be an eviction victim
+    fd.emit = [this](SpecTier) { return BuildShedFilter(); };
+    fd.install = [this](BlockId, SpecTier, SpecInstall) {
+      InstallShedFilter();
+    };
+    shed_spec_ = kernel_.spec().Register(std::move(fd));
+    InstallShedFilter();
+  }
+  ApplySteering();
 }
 
 BlockId NicPool::BuildSteering() {
@@ -226,115 +244,42 @@ BlockId NicPool::BuildSteering() {
                                    nullptr, &opts);
 }
 
-void NicPool::InstallSteering(BlockId blk, SpecTier tier, bool refused) {
-  (void)tier;
-  (void)refused;
-  // On refusal (code-store pressure) the Specializer fell back to the
-  // always-correct generic loop; the displaced block retires deferred, after
-  // the cells below are repointed.
-  steer_synth_ = blk;
-  ApplySteering();
-}
-
-void NicPool::EmitDispatch() {
-  if (rx_dispatch_spec_ == kBadSpec) {
-    // The dispatch chains have no generic twin: a refused re-emit keeps the
-    // previous chain — stale (it misses the newest NIC) but safe; the
-    // adaptation sweep retries while the handle stays degraded.
-    SpecDesc rd;
-    rd.name = "pool_rx_dispatch";
-    rd.adaptive = false;
-    rd.evictable = false;
-    rd.emit = [this](SpecTier) { return BuildRxDispatch(); };
-    rd.install = [this](BlockId blk, SpecTier tier, bool refused) {
-      InstallRxDispatch(blk, tier, refused);
-    };
-    rx_dispatch_spec_ = kernel_.spec().Register(std::move(rd));
-    rx_dispatch_ = kernel_.spec().ActiveOf(rx_dispatch_spec_);
-    if (rx_dispatch_ != kInvalidBlock) {
-      kernel_.machine().memory().Write32(rx_dispatch_cell_,
-                                         static_cast<uint32_t>(rx_dispatch_));
-    }
-    SpecDesc td;
-    td.name = "pool_tx_dispatch";
-    td.adaptive = false;
-    td.evictable = false;
-    td.emit = [this](SpecTier) { return BuildTxDispatch(); };
-    td.install = [this](BlockId blk, SpecTier tier, bool refused) {
-      InstallTxDispatch(blk, tier, refused);
-    };
-    tx_dispatch_spec_ = kernel_.spec().Register(std::move(td));
-    tx_dispatch_ = kernel_.spec().ActiveOf(tx_dispatch_spec_);
-    if (tx_dispatch_ != kInvalidBlock) {
-      kernel_.machine().memory().Write32(tx_dispatch_cell_,
-                                         static_cast<uint32_t>(tx_dispatch_));
-    }
-    return;
-  }
-  kernel_.spec().Reemit(rx_dispatch_spec_);
-  kernel_.spec().Reemit(tx_dispatch_spec_);
-}
-
-BlockId NicPool::BuildRxDispatch() {
+BlockId NicPool::BuildDispatch(bool rx) {
   SynthesisOptions verbatim = SynthesisOptions::Disabled();
-  const std::string name = "pool_rx_dispatch#" + std::to_string(++dispatch_gen_);
+  const std::string name = (rx ? "pool_rx_dispatch#" : "pool_tx_dispatch#") +
+                           std::to_string(++dispatch_gen_);
   // d1 = tagged payload. High half selects the NIC, low half is the slot the
   // per-NIC entry expects in d1.
-  Asm rx(name);
-  rx.Move(kD6, kD1);
-  rx.LsrI(kD6, kTagShift);
-  rx.AndI(kD1, kSlotMask);
+  Asm a(name);
+  a.Move(kD6, kD1);
+  a.LsrI(kD6, kTagShift);
+  a.AndI(kD1, kSlotMask);
   for (uint32_t i = 0; i < size(); i++) {
     const std::string next = "n" + std::to_string(i);
-    rx.CmpI(kD6, static_cast<int32_t>(i));
-    rx.Bne(next);
-    rx.Jsr(static_cast<int32_t>(nics_[i]->rx_entry()));
-    rx.Rts();
-    rx.Label(next);
+    a.CmpI(kD6, static_cast<int32_t>(i));
+    a.Bne(next);
+    a.Jsr(static_cast<int32_t>(rx ? nics_[i]->rx_entry()
+                                  : nics_[i]->tx_entry()));
+    a.Rts();
+    a.Label(next);
   }
-  rx.Rts();  // unknown tag: drop on the floor
-  return kernel_.SynthesizeInstall(rx.Build(), Bindings(), nullptr, name,
-                                   nullptr, &verbatim);
+  a.Rts();  // unknown tag: drop on the floor
+  return kernel_.SynthesizeInstallEssential(a.Build(), Bindings(), nullptr,
+                                            name, nullptr, &verbatim);
 }
 
-BlockId NicPool::BuildTxDispatch() {
-  SynthesisOptions verbatim = SynthesisOptions::Disabled();
-  const std::string name = "pool_tx_dispatch#" + std::to_string(++dispatch_gen_);
-  Asm tx(name);
-  tx.Move(kD6, kD1);
-  tx.LsrI(kD6, kTagShift);
-  tx.AndI(kD1, kSlotMask);
-  for (uint32_t i = 0; i < size(); i++) {
-    const std::string next = "n" + std::to_string(i);
-    tx.CmpI(kD6, static_cast<int32_t>(i));
-    tx.Bne(next);
-    tx.Jsr(static_cast<int32_t>(nics_[i]->tx_entry()));
-    tx.Rts();
-    tx.Label(next);
+void NicPool::WireDispatch() {
+  // Before a chain first installs (a live-block cap refused it), its cell
+  // keeps whatever it held.
+  Memory& mem = kernel_.machine().memory();
+  const BlockId rx = kernel_.spec().ActiveOf(rx_dispatch_spec_);
+  const BlockId tx = kernel_.spec().ActiveOf(tx_dispatch_spec_);
+  if (rx != kInvalidBlock) {
+    mem.Write32(rx_dispatch_cell_, static_cast<uint32_t>(rx));
   }
-  tx.Rts();
-  return kernel_.SynthesizeInstall(tx.Build(), Bindings(), nullptr, name,
-                                   nullptr, &verbatim);
-}
-
-void NicPool::InstallRxDispatch(BlockId blk, SpecTier tier, bool refused) {
-  (void)tier;
-  if (refused) {
-    return;  // the previous chain stays in the cell
+  if (tx != kInvalidBlock) {
+    mem.Write32(tx_dispatch_cell_, static_cast<uint32_t>(tx));
   }
-  rx_dispatch_ = blk;
-  kernel_.machine().memory().Write32(rx_dispatch_cell_,
-                                     static_cast<uint32_t>(blk));
-}
-
-void NicPool::InstallTxDispatch(BlockId blk, SpecTier tier, bool refused) {
-  (void)tier;
-  if (refused) {
-    return;
-  }
-  tx_dispatch_ = blk;
-  kernel_.machine().memory().Write32(tx_dispatch_cell_,
-                                     static_cast<uint32_t>(blk));
 }
 
 namespace {
@@ -375,70 +320,6 @@ void EmitBitmapTest(Asm& a, Addr bitmap, Addr mask_tab,
 }
 }  // namespace
 
-void NicPool::EmitShedFilter() {
-  if (!config_.admission_control) {
-    return;
-  }
-
-  if (!config_.synthesized_shed) {
-    const uint32_t lvl = shed_level_ >= 2 ? 2u : 1u;
-    // The interpreted baseline (ablation): installed exactly once. It
-    // reloads the shed level and walks the bound-port bitmap from memory on
-    // every frame, so binds, unbinds and level changes are pure data writes
-    // — the defining property (and per-frame cost) of the layered path.
-    if (generic_shed_ == kInvalidBlock) {
-      SynthesisOptions verbatim = SynthesisOptions::Disabled();
-      Asm g("pool_shed_gen");
-      g.Load32(kD0, kA1, FrameLayout::kDstPort);
-      EmitBitmapTest(g, shed_bitmap_, shed_mask_tab_, "bound");
-      g.LoadA32(kD1, static_cast<int32_t>(shed_ctr_));
-      g.AddI(kD1, 1);
-      g.StoreA32(static_cast<int32_t>(shed_ctr_), kD1);
-      g.MoveI(kD0, -2);
-      g.Rts();
-      g.Label("bound");
-      g.LoadA32(kD3, static_cast<int32_t>(shed_level_word_));
-      g.CmpI(kD3, 2);
-      g.Blt("pass");
-      EmitClassTest(g, shed_data_ctr_);
-      g.Label("pass");
-      g.LoadA32(kD7, static_cast<int32_t>(steer_cell_));
-      g.JmpInd(kD7);
-      generic_shed_ = kernel_.SynthesizeInstall(g.Build(), Bindings(), nullptr,
-                                                "pool_shed_gen", nullptr,
-                                                &verbatim);
-    }
-    shed_filter_ = generic_shed_;
-    shed_filter_level_ = lvl;  // the level word, not the code, carries it
-    if (shedding_ && shed_filter_ == kInvalidBlock) {
-      shedding_ = false;
-      shed_level_ = 0;
-      WriteShedLevel();
-    }
-    return;
-  }
-
-  if (shed_spec_ == kBadSpec) {
-    SpecDesc sd;
-    sd.name = "pool_shed";
-    sd.adaptive = false;   // re-shaped by watermarks and churn, not heat
-    sd.evictable = false;  // the armor must not be an eviction victim
-    sd.emit = [this](SpecTier) { return BuildShedFilter(); };
-    sd.install = [this](BlockId blk, SpecTier tier, bool refused) {
-      InstallShedFilter(blk, tier, refused);
-    };
-    shed_spec_ = kernel_.spec().Register(std::move(sd));
-    if (kernel_.spec().DegradedOf(shed_spec_)) {
-      InstallShedFilter(kInvalidBlock, SpecTier::kSpecialized, /*refused=*/true);
-    } else {
-      InstallShedFilter(kernel_.spec().ActiveOf(shed_spec_),
-                        SpecTier::kSpecialized, /*refused=*/false);
-    }
-    return;
-  }
-  kernel_.spec().Reemit(shed_spec_);
-}
-
 BlockId NicPool::BuildShedFilter() {
   const uint32_t lvl = shed_level_ >= 2 ? 2u : 1u;
   shed_gen_++;
@@ -467,32 +348,27 @@ BlockId NicPool::BuildShedFilter() {
 
   SynthesisOptions opts = kernel_.config().synthesis;
   opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
-  pending_shed_level_ = lvl;
-  return kernel_.SynthesizeInstall(a.Build(), Bindings(), nullptr, name,
-                                   nullptr, &opts);
+  BlockId blk = kernel_.SynthesizeInstall(a.Build(), Bindings(), nullptr, name,
+                                          nullptr, &opts);
+  if (blk != kInvalidBlock) {
+    shed_filter_level_ = lvl;  // an emitted block always becomes active
+  }
+  return blk;
 }
 
-void NicPool::InstallShedFilter(BlockId blk, SpecTier tier, bool refused) {
-  (void)tier;
-  if (refused) {
-    // A stale filter would drop freshly bound ports, so refusal means armor
-    // off — the pool serves the full path until a later emit succeeds (the
-    // adaptation sweep retries while the handle stays degraded).
-    shed_filter_ = kInvalidBlock;
-    shed_filter_level_ = 0;
-    if (shedding_) {
-      shedding_ = false;
-      shed_level_ = 0;
-      WriteShedLevel();
-      ApplySteering();
-    }
+void NicPool::InstallShedFilter() {
+  if (!shedding_) {
     return;
   }
-  shed_filter_ = blk;
-  shed_filter_level_ = pending_shed_level_;
-  if (shedding_) {
-    ApplySteering();  // repoint the cells before the displaced block drains
+  if (shed_filter() == kInvalidBlock) {
+    // A refused emit degrades the handle, and a degraded filter's level no
+    // longer matches the pool's, so refusal means armor off — the pool
+    // serves the full path until a later emit succeeds (the adaptation sweep
+    // retries while the handle stays degraded).
+    shedding_ = false;
+    shed_level_ = 0;
   }
+  ApplySteering();  // repoint the cells before the displaced block drains
 }
 
 void NicPool::WriteShedBit(uint16_t port, bool on) {
@@ -505,12 +381,6 @@ void NicPool::WriteShedBit(uint16_t port, bool on) {
   uint32_t m = 1u << (port & 31);
   mem.Write32(w, on ? (v | m) : (v & ~m));
   kernel_.machine().Charge(6, 1, 1);
-}
-
-void NicPool::WriteShedLevel() {
-  if (shed_level_word_ != 0) {
-    kernel_.machine().memory().Write32(shed_level_word_, shed_level_);
-  }
 }
 
 void NicPool::MirrorShedCounters() {
@@ -530,19 +400,15 @@ void NicPool::MirrorShedCounters() {
 void NicPool::EnterShedLevel(uint32_t lvl) {
   const uint32_t prev = shed_level_;
   shed_level_ = lvl;
-  WriteShedLevel();
   // Re-emitted on watermark engage when the emitted shape no longer matches
   // the level: the class test is folded into the filter's code, so
-  // escalation changes the code, not a flag. (The interpreted baseline reads
-  // the level word instead and never re-emits.)
-  if (shed_filter_ == kInvalidBlock ||
-      (config_.synthesized_shed && shed_filter_level_ != lvl)) {
-    EmitShedFilter();
+  // escalation changes the code, not a flag.
+  if (shed_filter() == kInvalidBlock || shed_filter_level_ != lvl) {
+    kernel_.spec().Reemit(shed_spec_);
   }
-  if (shed_filter_ == kInvalidBlock) {
+  if (shed_filter() == kInvalidBlock) {
     shed_level_ = 0;  // can't shed without a filter; serve the full path
     shedding_ = false;
-    WriteShedLevel();
     return;
   }
   shedding_ = true;
@@ -560,9 +426,8 @@ void NicPool::ApplySteering() {
   // filter's pass path follows re-emissions without being re-emitted itself.
   kernel_.machine().memory().Write32(steer_cell_,
                                      static_cast<uint32_t>(active_steering()));
-  BlockId outer = (shedding_ && shed_filter_ != kInvalidBlock)
-                      ? shed_filter_
-                      : active_steering();
+  const BlockId filter = shedding_ ? shed_filter() : kInvalidBlock;
+  BlockId outer = filter != kInvalidBlock ? filter : active_steering();
   for (auto& nic : nics_) {
     nic->SetDemuxOverride(outer);
   }
@@ -595,7 +460,6 @@ void NicPool::NoteRxDepth(uint32_t depth) {
   }
   shed_level_ = 0;
   shedding_ = false;
-  WriteShedLevel();
   ApplySteering();
 }
 
@@ -626,8 +490,9 @@ bool NicPool::AddNic() {
     (void)ok;
   }
   WriteDescriptor();
-  EmitSteering();
-  EmitDispatch();
+  kernel_.spec().Reemit(steer_spec_);
+  kernel_.spec().Reemit(rx_dispatch_spec_);
+  kernel_.spec().Reemit(tx_dispatch_spec_);
   ApplySteering();
   return true;
 }

@@ -50,9 +50,7 @@
 // Membership is a bound-port BITMAP tested in O(1) — an executable data
 // structure whose bits the bind path flips with one memory write — so binds
 // and unbinds never re-emit the filter; it re-emits only when the shed level
-// changes. An INTERPRETED baseline (synthesized_shed = false) is kept as the
-// ablation: installed once, it reloads the shed level from memory on every
-// frame and tests the same bitmap.
+// changes.
 //
 // Growing the pool (AddNic) migrates flows whose hash moved,
 // re-emits the steering + dispatch blocks, retires the old ones, and leaves
@@ -86,9 +84,6 @@ struct NicPoolConfig {
   // only control-plane segments stay admissible. Must exceed the high
   // watermark (checked at construction).
   uint32_t shed_data_watermark = 96;
-  // false: the interpreted filter baseline (ablation) — installed once,
-  // level and membership reloaded from memory per frame.
-  bool synthesized_shed = true;
 };
 
 class NicPool {
@@ -119,9 +114,14 @@ class NicPool {
 
   uint32_t steering_generation() const { return steer_gen_; }
   BlockId generic_steering() const { return steer_generic_; }
-  BlockId synthesized_steering() const { return steer_synth_; }
+  // The steering handle's active block: the specialized routine, or the
+  // generic loop after a refused emit.
+  BlockId synthesized_steering() const {
+    return kernel_.spec().ActiveOf(steer_spec_);
+  }
   BlockId active_steering() const {
-    return config_.synthesized_steering ? steer_synth_ : steer_generic_;
+    return config_.synthesized_steering ? synthesized_steering()
+                                        : steer_generic_;
   }
 
   // --- Overload armor --------------------------------------------------------
@@ -136,9 +136,14 @@ class NicPool {
   // Bound-port bitmap: one bit per 16-bit port, walked by the filter.
   static constexpr uint32_t kShedBitmapBytes = 65536 / 8;
 
-  // The active early-drop filter (kInvalidBlock if none could be emitted;
-  // benches time it directly).
-  BlockId shed_filter() const { return shed_filter_; }
+  // The active early-drop filter (kInvalidBlock while the last emit was
+  // refused: a degraded filter handle means armor off; benches time it
+  // directly).
+  BlockId shed_filter() const {
+    return kernel_.spec().DegradedOf(shed_spec_)
+               ? kInvalidBlock
+               : kernel_.spec().ActiveOf(shed_spec_);
+  }
   bool shedding() const { return shedding_; }
   // 0 = off, 1 = unknown-port drop, 2 = + bulk-data drop (control passes).
   uint32_t shed_level() const { return shed_level_; }
@@ -215,26 +220,23 @@ class NicPool {
 
   void AppendNic();
   void WriteDescriptor();   // N + cell table, for the generic loop
-  // Re-specialization entry points. Each registers a Specializer handle on
-  // first use and routes every later change through Reemit: the Specializer
-  // emits via the Build* callback, retires the displaced block, and the
-  // Install* callback mirrors the outcome into the pool's cells.
-  void EmitSteering();      // re-emits the specialized steering block
-  void EmitDispatch();      // re-emits the rx/tx payload-untag compare chains
-  void EmitShedFilter();    // re-emits the early-drop filter (set + level)
+  // Specializer handles: the steering block, the two dispatch chains and the
+  // shed filter. Registered once at construction; geometry and shed-level
+  // changes re-emit them through Reemit. Build* are the emit callbacks; each
+  // handle's install callback is its wiring function below.
+  void RegisterHandles();
   BlockId BuildSteering();
-  void InstallSteering(BlockId blk, SpecTier tier, bool refused);
-  BlockId BuildRxDispatch();
-  BlockId BuildTxDispatch();
-  void InstallRxDispatch(BlockId blk, SpecTier tier, bool refused);
-  void InstallTxDispatch(BlockId blk, SpecTier tier, bool refused);
+  // The payload-untag compare chain behind the kNetRx (rx) or kNetTx shim.
+  BlockId BuildDispatch(bool rx);
   BlockId BuildShedFilter();
-  void InstallShedFilter(BlockId blk, SpecTier tier, bool refused);
+  // Wiring functions: repoint the pool's cells at what the Specializer holds
+  // active.
+  void ApplySteering();     // steering cell + outer cells (filter or steering)
+  void WireDispatch();      // the two dispatch cells
+  void InstallShedFilter(); // re-applies steering while shedding
   void WriteShedBit(uint16_t port, bool on);
-  void WriteShedLevel();    // mirrors shed_level_ into the sim word
   void EnterShedLevel(uint32_t lvl);
   void MirrorShedCounters();
-  void ApplySteering();     // points outer cells at filter or steering
 
   Kernel& kernel_;
   NicPoolConfig config_;
@@ -242,14 +244,11 @@ class NicPool {
 
   Addr desc_ = 0;
   BlockId steer_generic_ = kInvalidBlock;   // installed once, never a handle
-  BlockId steer_synth_ = kInvalidBlock;     // mirror of the steering handle
   SpecId steer_spec_ = kBadSpec;
   uint32_t steer_gen_ = 0;
 
   Addr rx_dispatch_cell_ = 0;
   Addr tx_dispatch_cell_ = 0;
-  BlockId rx_dispatch_ = kInvalidBlock;
-  BlockId tx_dispatch_ = kInvalidBlock;
   SpecId rx_dispatch_spec_ = kBadSpec;
   SpecId tx_dispatch_spec_ = kBadSpec;
   uint32_t dispatch_gen_ = 0;  // uniquifies chain names across re-emission
@@ -261,14 +260,9 @@ class NicPool {
   Addr steer_cell_ = 0;
   Addr shed_ctr_ = 0;
   Addr shed_data_ctr_ = 0;
-  Addr shed_level_word_ = 0;  // read by the interpreted filter baseline
   Addr shed_bitmap_ = 0;      // bound-port bitmap (kShedBitmapBytes)
   Addr shed_mask_tab_ = 0;    // 32 words of 1<<i (the ISA has no var shift)
-  BlockId shed_filter_ = kInvalidBlock;
-  BlockId generic_shed_ = kInvalidBlock;  // interpreted baseline, install-once
   SpecId shed_spec_ = kBadSpec;
-  uint32_t pending_shed_level_ = 0;  // level of the block BuildShedFilter
-                                     // just emitted, latched at install
   bool shedding_ = false;
   uint32_t shed_level_ = 0;
   uint64_t shed_engages_ = 0;
@@ -276,7 +270,7 @@ class NicPool {
   uint32_t shed_seen_ = 0;  // wrap-safe 32-bit mirror cursor of shed_ctr_
   uint32_t shed_data_seen_ = 0;
   uint32_t shed_gen_ = 0;
-  uint32_t shed_filter_level_ = 0;  // level shape of the emitted filter
+  uint32_t shed_filter_level_ = 0;  // level shape of the last emitted filter
   Gauge shed_gauge_;
   Gauge shed_data_gauge_;
 

@@ -464,33 +464,27 @@ BlockId StreamLayer::BuildSynthDeliver(const Conn& c, SpecTier tier) {
   return kernel_.SynthesizeInstall(a.Build(), b, nullptr, name, nullptr, &opts);
 }
 
-// The Specializer's install hook for the segment processor. The old block's
-// retirement already happened inside the Specializer (deferred); all that is
-// left is wiring the new entry point into the flow table and keeping the
-// degradation gauges truthful. A refusal fallback (`refused`) counts on the
-// ladder gauges; a policy demotion to kGeneric does not — cold is not broken.
-// No ArmSweep on refusal: re-arming from a refused install would spin the
-// alarm on an idle kernel; the next delivered frame (OnDeliver) re-arms it.
-void StreamLayer::InstallDeliver(ConnId id, BlockId blk, SpecTier tier,
-                                 bool refused) {
+// The segment processor's wiring, run by the Specializer's install hook and
+// once after Register. The old block's retirement already happened inside
+// the Specializer (deferred); all that is left is wiring the active block
+// into the flow table and keeping the degradation gauges truthful. A refusal
+// fallback counts on the ladder gauges and a recovery climbs back; a policy
+// demotion to kGeneric counts on neither — cold is not broken. No ArmSweep
+// on refusal: re-arming from a refused install would spin the alarm on an
+// idle kernel; the next delivered frame (OnDeliver) re-arms it.
+void StreamLayer::InstallDeliver(ConnId id, SpecInstall why) {
   Conn* c = Get(id);
   if (c == nullptr || c->reclaimed) {
     return;
   }
-  const bool was_degraded = c->degraded;
-  c->degraded = refused;
-  if (refused && !was_degraded) {
+  if (why == SpecInstall::kRefused) {
     synth_fallback_gauge_.Count();
-  }
-  if (!refused && was_degraded && tier != SpecTier::kGeneric) {
+  } else if (why == SpecInstall::kRecovered) {
     resynth_gauge_.Count();  // promoted back to synthesized code
   }
   UpdateSweepWatch(*c);
-  if (c->synth_deliver != blk) {
-    c->synth_deliver = blk;
-    if (pool_.HasFlow(c->local_port)) {
-      pool_.RebindFlow(c->local_port, blk);
-    }
+  if (pool_.HasFlow(c->local_port)) {
+    pool_.RebindFlow(c->local_port, kernel_.spec().ActiveOf(c->spec));
   }
 }
 
@@ -560,7 +554,8 @@ void StreamLayer::SetState(Conn& c, uint32_t state) {
 void StreamLayer::UpdateSweepWatch(Conn& c) {
   const bool live = !c.reclaimed && (c.state == CcbLayout::kEstablished ||
                                      c.state == CcbLayout::kFinSent);
-  if (live && (c.degraded || c.cfg.keepalive_idle_us > 0)) {
+  if (live &&
+      (c.cfg.keepalive_idle_us > 0 || kernel_.spec().DegradedOf(c.spec))) {
     sweep_watch_.insert(c.id);
   } else {
     sweep_watch_.erase(c.id);
@@ -650,20 +645,17 @@ ConnId StreamLayer::NewConn(uint16_t local_port, uint16_t peer_port,
     cc->synth_gen++;
     return BuildSynthDeliver(*cc, tier);
   };
-  sd.install = [this, id](BlockId blk, SpecTier tier, bool refused) {
-    InstallDeliver(id, blk, tier, refused);
+  sd.install = [this, id](BlockId, SpecTier, SpecInstall why) {
+    InstallDeliver(id, why);
   };
   ref.spec = kernel_.spec().Register(std::move(sd));
-  ref.synth_deliver = kernel_.spec().ActiveOf(ref.spec);
-  ref.degraded = kernel_.spec().DegradedOf(ref.spec);
-  if (ref.synth_deliver == kInvalidBlock) {
+  if (kernel_.spec().ActiveOf(ref.spec) == kInvalidBlock) {
     // Refused emit AND no generic walk to degrade to: truly unrecoverable.
     unwind();
     return kBadConn;
   }
-  if (ref.degraded) {
-    synth_fallback_gauge_.Count();
-  }
+  const bool degraded = kernel_.spec().DegradedOf(ref.spec);
+  InstallDeliver(id, degraded ? SpecInstall::kRefused : SpecInstall::kPolicy);
   // The per-connection alarm stub: the alarm payload is the handler itself,
   // so the stub re-loads d1 with the connection id before trapping to the
   // host timeout logic. The stub cannot degrade — a connection without a
@@ -685,14 +677,14 @@ ConnId StreamLayer::NewConn(uint16_t local_port, uint16_t peer_port,
   flow.port = local_port;
   flow.ring = ref.ring;
   flow.ctx = ref.ccb;
-  flow.synth_deliver = ref.synth_deliver;
+  flow.synth_deliver = kernel_.spec().ActiveOf(ref.spec);
   flow.generic_deliver = generic;
   flow.deliver_hook = [this, id] { OnDeliver(id); };
   if (!pool_.BindFlow(std::move(flow))) {
     unwind();
     return kBadConn;
   }
-  if (ref.degraded) {
+  if (degraded) {
     ArmSweep();
   }
   return id;
@@ -1096,7 +1088,7 @@ void StreamLayer::SweepTick() {
       continue;
     }
     Conn& c = *pc;
-    if (c.degraded && kernel_.code().HasRoom()) {
+    if (kernel_.spec().DegradedOf(c.spec) && kernel_.code().HasRoom()) {
       // Pressure drained: ask the Specializer to climb back to synthesized
       // code. The install hook rebinds the flow and clears the degradation.
       kernel_.spec().Promote(c.spec, SpecTier::kSpecialized);
@@ -1151,16 +1143,17 @@ void StreamLayer::SweepTick() {
 }
 
 void StreamLayer::SendProbe(Conn& c) {
-  if (c.probe_block != kInvalidBlock) {
+  const BlockId probe = kernel_.spec().ActiveOf(c.probe_spec);
+  if (probe != kInvalidBlock) {
     // The probe send is the connection's own synthesized code. From the
     // sweep alarm (kernel executor mid-run) the block is chained to run at
     // the end of this interrupt (§3.1 Procedure Chaining); a host-driven
     // sweep runs it synchronously. Either way it stages the header from the
     // CCB's folded fields and traps to FinishProbe for the transmit.
     if (kernel_.kexec().active()) {
-      kernel_.ChainProcedure(c.probe_block);
+      kernel_.ChainProcedure(probe);
     } else {
-      kernel_.kexec().Call(c.probe_block);
+      kernel_.kexec().Call(probe);
     }
     return;
   }
@@ -1170,7 +1163,9 @@ void StreamLayer::SendProbe(Conn& c) {
 // Registers the keepalive probe stub with the Specializer at establishment.
 // Non-adaptive (probes are cadence-driven, not heat-driven), non-evictable
 // (a handful of instructions, and there is no generic block to fall to — the
-// fallback is the host path, expressed as probe_block = kInvalidBlock).
+// fallback is the host path, taken while the handle has no active block).
+// The stub folds nothing that moves, so it has no install callback: SendProbe
+// reads the active block at every probe.
 void StreamLayer::RegisterProbe(Conn& c) {
   if (c.probe_spec != kBadSpec) {
     return;
@@ -1188,14 +1183,7 @@ void StreamLayer::RegisterProbe(Conn& c) {
     }
     return BuildProbeStub(*cc);
   };
-  sd.install = [this, id](BlockId blk, SpecTier tier, bool) {
-    Conn* cc = Get(id);
-    if (cc != nullptr && !cc->reclaimed) {
-      cc->probe_block = tier == SpecTier::kGeneric ? kInvalidBlock : blk;
-    }
-  };
   c.probe_spec = kernel_.spec().Register(std::move(sd));
-  c.probe_block = kernel_.spec().ActiveOf(c.probe_spec);
 }
 
 // The synthesized probe stub: seq = snd_nxt - 1 and ack = rcv_nxt are loaded
@@ -1586,7 +1574,7 @@ void StreamLayer::ReclaimConn(Conn& c) {
   e.cwnd = c.cwnd;
   e.local_port = c.local_port;
   e.state = static_cast<uint8_t>(c.state);
-  e.degraded = c.degraded;
+  e.degraded = kernel_.spec().DegradedOf(c.spec);
   c.reclaimed = true;
   reclaimed_.push_back(c.id);
   sweep_watch_.erase(c.id);
@@ -1602,10 +1590,8 @@ void StreamLayer::ReclaimConn(Conn& c) {
   // revalidates, so the late run is harmless.
   kernel_.spec().Retire(c.spec);
   c.spec = kBadSpec;
-  c.synth_deliver = kInvalidBlock;
   kernel_.spec().Retire(c.probe_spec);
   c.probe_spec = kBadSpec;
-  c.probe_block = kInvalidBlock;
   if (c.alarms_pending == 0) {
     kernel_.RetireBlock(c.alarm_stub);
     c.alarm_stub = kInvalidBlock;
@@ -1794,7 +1780,7 @@ std::shared_ptr<RingHost> StreamLayer::RingOf(ConnId conn) const {
 
 BlockId StreamLayer::SynthDeliverOf(ConnId conn) const {
   const Conn* c = Get(conn);
-  return c == nullptr ? kInvalidBlock : c->synth_deliver;
+  return c == nullptr ? kInvalidBlock : kernel_.spec().ActiveOf(c->spec);
 }
 
 SpecId StreamLayer::SpecOf(ConnId conn) const {
@@ -1804,7 +1790,7 @@ SpecId StreamLayer::SpecOf(ConnId conn) const {
 
 bool StreamLayer::DegradedOf(ConnId conn) const {
   if (const Conn* c = Get(conn)) {
-    return c->degraded;
+    return c->reclaimed ? c->ended.degraded : kernel_.spec().DegradedOf(c->spec);
   }
   const Ended* e = EndedOf(conn);
   return e != nullptr && e->degraded;

@@ -248,8 +248,10 @@ class StreamLayer {
   // benches read tier/heat through Kernel::spec() with it.
   SpecId SpecOf(ConnId conn) const;
   // Whether the connection is running on the generic interpreted path because
-  // a code-store install was refused (capacity or injected fault). The sweep
-  // requests a promotion once the store has room again.
+  // a code-store install was refused (capacity or injected fault): the
+  // Specializer's DegradedOf for its handle (kept in the post-mortem record
+  // once reclaimed). The stream sweep, or the kernel's AdaptNow, promotes it
+  // once the store has room again.
   bool DegradedOf(ConnId conn) const;
   // The shared interpreted segment processor (the baseline the benches run),
   // bound to the given NIC's demux helpers. Installed lazily, once per NIC.
@@ -340,19 +342,14 @@ class StreamLayer {
     uint32_t state = CcbLayout::kClosed;  // host mirror of CCB kState
     Addr ccb = 0;
     std::shared_ptr<RingHost> ring;
-    BlockId synth_deliver = kInvalidBlock;
     BlockId alarm_stub = kInvalidBlock;
     // Specializer handles behind this connection's synthesized code: the
     // segment processor (generic/specialized/hot ladder) and the keepalive
-    // probe stub. synth_deliver and probe_block mirror the handles' active
-    // blocks — the install hooks maintain them.
+    // probe stub. The Specializer holds their active blocks and degradation;
+    // read them there.
     SpecId spec = kBadSpec;
     SpecId probe_spec = kBadSpec;
-    BlockId probe_block = kInvalidBlock;  // kInvalidBlock: host-path probe
     uint32_t synth_gen = 0;  // uniquifies re-synthesized processor names
-    // Running on the shared generic walk because an install was refused;
-    // synth_deliver then aliases a block this connection does not own.
-    bool degraded = false;
 
     uint32_t iss = 0;              // initial send sequence number
     uint32_t snd_nxt = 0;          // next sequence number to assign
@@ -403,10 +400,10 @@ class StreamLayer {
                  const StreamConfig& cfg);
   void SetState(Conn& c, uint32_t state);
   BlockId BuildSynthDeliver(const Conn& c, SpecTier tier);
-  // The Specializer's install hook for the segment processor: wires the new
-  // active block into the flow table and keeps the degradation gauges
-  // truthful (`refused` distinguishes the ladder from a policy demotion).
-  void InstallDeliver(ConnId id, BlockId blk, SpecTier tier, bool refused);
+  // The segment processor's wiring (its install hook, and once after
+  // Register): rebinds the flow to the active block and counts the ladder
+  // gauges by why the block moved.
+  void InstallDeliver(ConnId id, SpecInstall why);
   uint16_t AllocateEphemeral();
 
   bool TransmitSeg(Conn& c, const Seg& seg);

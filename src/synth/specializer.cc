@@ -64,14 +64,13 @@ SpecId Specializer::Register(SpecDesc desc) {
   SpecId id = next_id_++;
   Handle h;
   h.desc = std::move(desc);
-  h.want = h.desc.tier;
-  if (h.desc.tier == SpecTier::kGeneric || !h.desc.emit) {
+  if (!h.desc.emit) {
     h.active = h.desc.generic;
     h.tier = SpecTier::kGeneric;
   } else {
-    BlockId blk = h.desc.emit(h.desc.tier);
+    BlockId blk = h.desc.emit(SpecTier::kSpecialized);
     if (blk != kInvalidBlock) {
-      AdoptBlock(id, h, blk, h.desc.tier);
+      AdoptBlock(id, h, blk, SpecTier::kSpecialized);
     } else {
       refusals_++;
       h.active = h.desc.generic;  // may itself be kInvalidBlock: owner decides
@@ -103,7 +102,7 @@ bool Specializer::Transition(SpecId id, Handle& h, SpecTier tier) {
     h.want = SpecTier::kGeneric;
     h.degraded = false;
     if (h.desc.install) {
-      h.desc.install(h.active, h.tier, /*refused=*/false);
+      h.desc.install(h.active, h.tier, SpecInstall::kPolicy);
     }
     return true;
   }
@@ -132,15 +131,17 @@ bool Specializer::Transition(SpecId id, Handle& h, SpecTier tier) {
     // invariants, never a wedge. Dispatch chains live here: a refused
     // re-emit keeps the old chain until the next rebuild succeeds.
     if (h.desc.install) {
-      h.desc.install(h.active, h.tier, /*refused=*/true);
+      h.desc.install(h.active, h.tier, SpecInstall::kRefused);
     }
     return false;
   }
+  const SpecInstall why =
+      h.degraded ? SpecInstall::kRecovered : SpecInstall::kPolicy;
   ReleaseActive(h);
   AdoptBlock(id, h, blk, tier);
   h.degraded = false;
   if (h.desc.install) {
-    h.desc.install(h.active, h.tier, /*refused=*/false);
+    h.desc.install(h.active, h.tier, why);
   }
   return true;
 }
@@ -216,9 +217,6 @@ void Specializer::HarvestTrace(const TraceMonitor& monitor) {
 
 SweepStats Specializer::AdaptSweep(const TraceMonitor* monitor) {
   SweepStats s;
-  if (!cfg_.enabled) {
-    return s;
-  }
   if (monitor != nullptr) {
     HarvestTrace(*monitor);
   }

@@ -8,10 +8,10 @@
 // to fall back. The Specializer unifies all of it behind one API:
 //
 //   Register   a specialization: an emit callback (builds + installs code at a
-//              requested tier), an install callback (the owner wires the new
-//              entry point into its data structures), a shared generic
-//              fallback block, and policy bits (max tier, evictable,
-//              adaptive).
+//              requested tier), an install callback (the owner rewires its
+//              data structures after the active block moved), a shared
+//              generic fallback block, and policy bits (max tier, evictable,
+//              adaptive). The first emission is at kSpecialized.
 //   Promote    re-emit at a higher (or equal — invariants changed) tier.
 //   Demote     drop to a lower tier; kGeneric routes callers to the shared
 //              fallback and releases the owned block through the kernel's
@@ -30,6 +30,16 @@
 // is refusal-safe: an emit that returns kInvalidBlock falls back to the
 // generic block (or keeps the current one when no generic exists) and marks
 // the handle degraded — never a wedge.
+//
+// One owner: the Specializer is the only holder of a handle's active block,
+// tier and degradation. Owners read ActiveOf/TierOf/DegradedOf wherever they
+// need them and keep no copies. Each owner wires through one function (the
+// cell writes, flow rebind or gauge counts that follow a move): its install
+// callback calls it, and the owner calls it once itself after Register.
+// Register does not call install, because the owner has no SpecId yet to
+// read the Specializer with. Every install says why the block moved, in the
+// three cases the Specializer tells apart (SpecInstall): a policy move, a
+// refusal fallback, and a degraded handle recovering.
 //
 // Layering: this lives in synth/ and depends only on the machine layer
 // (CodeStore, TraceMonitor). The kernel owns one instance and passes its
@@ -83,9 +93,19 @@ struct AdaptConfig {
   // Consecutive zero-heat sweep windows after which an adaptive handle drops
   // to the generic tier and releases its block.
   uint32_t demote_windows = 4;
-  // Master switch: false freezes AdaptSweep (registration, explicit
-  // promote/demote and refusal fallback still work).
-  bool enabled = true;
+};
+
+// Why an install callback fired: the three transitions that move a handle's
+// active block.
+enum class SpecInstall : uint8_t {
+  // A policy move: heat promotion (also out of a cold demotion), cold or
+  // pressure demotion, or a re-fold of moved invariants that succeeded.
+  kPolicy,
+  // A refusal fallback: a re-fold was refused, so the handle is degraded and
+  // runs the generic fallback (or, with none, keeps its current block).
+  kRefused,
+  // A degraded handle's retry succeeded: it runs synthesized code again.
+  kRecovered,
 };
 
 // One registered specialization.
@@ -95,17 +115,18 @@ struct SpecDesc {
   // kInvalidBlock on a refused install (capacity cap or injected fault).
   // Never called with kGeneric — the generic path is `generic`, pre-built.
   std::function<BlockId(SpecTier)> emit;
-  // Wires a newly active entry point into the owner's structures (flow
-  // rebind, cell rewrite, channel pointer). `refused` distinguishes a
-  // refusal fallback (the degradation ladder — owners count their fallback
-  // gauges here) from a policy transition. NOT called during Register: the
-  // owner is mid-construction and wires the initial block itself.
-  std::function<void(BlockId block, SpecTier tier, bool refused)> install;
+  // Tells the owner its active block moved, and why (SpecInstall), so it can
+  // rewire its structures (flow rebind, cell rewrite) from ActiveOf and count
+  // its degradation gauges: kRefused is the ladder's fallback rung,
+  // kRecovered its climb back, kPolicy neither — cold is not broken. `block`
+  // and `tier` are the new ActiveOf/TierOf. NOT called during Register: the
+  // owner has no SpecId yet, so it wires the first block itself by calling
+  // the same wiring function once after Register returns. Optional: an owner
+  // that reads ActiveOf at every use has nothing to rewire.
+  std::function<void(BlockId block, SpecTier tier, SpecInstall why)> install;
   // The shared interpreted fallback (kInvalidBlock when the owner has none —
   // then a refused re-emit keeps the current block instead).
   BlockId generic = kInvalidBlock;
-  // Tier requested at registration.
-  SpecTier tier = SpecTier::kSpecialized;
   // Ceiling for heat-driven promotion.
   SpecTier max_tier = SpecTier::kHot;
   // May the clock hand nominate this handle's block under byte-cap pressure?
@@ -132,19 +153,21 @@ class Specializer {
   Specializer(CodeStore& store, AdaptConfig cfg,
               std::function<void(BlockId)> retire);
 
-  // Registers and performs the initial emission at desc.tier. On refusal the
-  // handle starts at kGeneric (degraded when desc.tier asked for more). The
-  // install callback is NOT invoked — read ActiveOf/TierOf/DegradedOf and
-  // wire up. Returns the handle id (never kBadSpec).
+  // Registers and performs the initial emission at kSpecialized (a handle
+  // without an emit callback starts at kGeneric). On refusal the handle
+  // starts degraded at kGeneric, running desc.generic. The install callback
+  // is NOT invoked — the owner wires up from ActiveOf/DegradedOf. Returns the
+  // handle id (never kBadSpec).
   SpecId Register(SpecDesc desc);
   // Releases the owned block (deferred) and forgets the handle.
   void Retire(SpecId id);
 
   // Re-emit at `tier` (>= current; == current re-folds moved invariants).
   // On refusal: falls to generic when one exists (else keeps the current
-  // block), marks the handle degraded, invokes install(refused=true), and
+  // block), marks the handle degraded, invokes install(kRefused), and
   // returns false. The degraded handle is retried by AdaptSweep — or by the
-  // owner calling Promote again — once the store has room.
+  // owner calling Promote again — once the store has room; the retry that
+  // lands invokes install(kRecovered).
   bool Promote(SpecId id, SpecTier tier);
   // Drop to `tier` (< current). kGeneric releases the owned block through
   // deferred retirement and routes callers to the shared fallback.

@@ -1,8 +1,9 @@
 // NicPool tests: the host steering hash vs the emitted steering blocks
 // (generic loop and specialized shift+mask, power-of-two and not), flow
 // migration + steering re-synthesis when the pool grows (placement follows
-// the hash at every size), the tagged interrupt dispatch, and a live stream
-// connection surviving AddNic mid-transfer.
+// the hash at every size), the tagged interrupt dispatch, a live stream
+// connection surviving AddNic mid-transfer, the overload armor, and a pool
+// that still delivers whichever bring-up install was refused.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "src/io/io_system.h"
+#include "src/kernel/fault_plane.h"
 #include "src/kernel/kernel.h"
 #include "src/machine/executor.h"
 #include "src/net/frame.h"
@@ -497,42 +499,44 @@ TEST(NicPoolTest, BitmapVariantBindsWithoutReemissionAndFiltersByBit) {
   EXPECT_EQ(pool.Aggregate().early_sheds, 2u);
 }
 
-// Ablation: the interpreted baseline filter is installed once and never
-// re-emitted — binds are bitmap writes, level changes are one word store —
-// yet it sheds the same traffic the synthesized variants do.
-TEST(NicPoolTest, InterpretedShedBaselineShedsWithoutReemission) {
-  Kernel k;
-  IoSystem io(k, nullptr);
+// Refusing any one code install while a pool comes up must leave a pool
+// that still hears. Blocks with no generic fallback (the demux's shared
+// helpers and walk, the NIC entries, the pool's generic steering, shims and
+// dispatch chains) install exempt from injected refusal; the refusable ones
+// (each table demux, the synthesized steering) fall back to their generic
+// twins. So one datagram to a bound port arrives, and its TX completion
+// retires, whichever bring-up visit was refused.
+TEST(NicPoolTest, RefusingAnyBringUpInstallLeavesThePoolDelivering) {
   NicPoolConfig pc;
-  pc.initial_nics = 1;
-  pc.admission_control = true;
-  pc.synthesized_shed = false;
-  pc.shed_high_watermark = 4;
-  pc.shed_low_watermark = 1;
-  pc.shed_data_watermark = 8;
-  NicPool pool(k, pc);
-  auto ring = io.MakeRing(4096);
-  ASSERT_TRUE(pool.BindFlow(FlowSpec::Ring(80, ring)));
-  const BlockId base = pool.shed_filter();
-  ASSERT_NE(base, kInvalidBlock);
-
-  const uint8_t msg[] = {'x', 'y'};
-  for (int i = 0; i < 8; i++) {
-    pool.InjectRaw(999, 9001, msg, 2, FrameChecksum(999, 9001, msg, 2), 2);
+  pc.initial_nics = 2;
+  uint64_t bring_up_visits = 0;
+  {
+    Kernel k;
+    const uint64_t before = k.faults().visits(FaultSite::kCodeInstall);
+    NicPool pool(k, pc);
+    bring_up_visits = k.faults().visits(FaultSite::kCodeInstall) - before;
   }
-  EXPECT_EQ(pool.shed_level(), 2u);
-  EXPECT_EQ(pool.shed_filter(), base)
-      << "the baseline reads the level word; escalation emits nothing";
-  InjectShapedSeg(pool, 80, 9001, StreamSeg::kFlagAck, 4);  // bulk: sheds
-  InjectShapedSeg(pool, 80, 9001, StreamSeg::kFlagAck, 0);  // pure ack: passes
+  ASSERT_GT(bring_up_visits, 0u);
+  for (uint64_t v = 1; v <= bring_up_visits; v++) {
+    Kernel k;
+    FaultTrigger once;
+    once.schedule = {k.faults().visits(FaultSite::kCodeInstall) + v};
+    k.faults().Arm(FaultSite::kCodeInstall, once);
+    NicPool pool(k, pc);
+    k.faults().Disarm(FaultSite::kCodeInstall);
+    ASSERT_EQ(k.faults().fires(FaultSite::kCodeInstall), 1u) << "visit " << v;
 
-  k.Run();
-  NicPool::AggregateStats agg = pool.Aggregate();
-  EXPECT_EQ(agg.early_sheds, 8u);
-  EXPECT_EQ(agg.data_sheds, 1u);
-  EXPECT_EQ(agg.delivered, 1u);
-  EXPECT_FALSE(pool.shedding());
-  EXPECT_EQ(pool.shed_filter(), base);
+    IoSystem io(k, nullptr);
+    auto ring = io.MakeRing(4096);
+    ASSERT_TRUE(pool.BindFlow(FlowSpec::Ring(80, ring))) << "visit " << v;
+    const uint8_t msg[] = {'h', 'i'};
+    ASSERT_TRUE(pool.Transmit(80, 9001, msg, 2)) << "visit " << v;
+    k.Run();
+    EXPECT_EQ(io.RingAvail(*ring), 4u + 2u) << "visit " << v;
+    NicPool::AggregateStats agg = pool.Aggregate();
+    EXPECT_EQ(agg.delivered, 1u) << "visit " << v;
+    EXPECT_EQ(agg.tx_completed, 1u) << "visit " << v;
+  }
 }
 
 TEST(NicPoolDeathTest, BadShedWatermarksAbortLoudly) {

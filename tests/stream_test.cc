@@ -997,6 +997,45 @@ TEST_F(StreamTest, ChurnUnderInjectedFailuresKeepsOccupancyExact) {
   }
 }
 
+// A pair degraded under certain install refusal holds degraded Specializer
+// handles, so the kernel-wide sweep (AdaptNow) recovers it on its own, with
+// no stream-sweep pass: the recovery is counted and the flows are rebound to
+// the re-synthesized processors.
+TEST_F(StreamTest, DegradedPairRecoversThroughTheKernelSweep) {
+  ConnId srv = st_.Listen(80);
+  ConnId cli = st_.Connect(80);
+  ASSERT_NE(srv, kBadConn);
+  ASSERT_NE(cli, kBadConn);
+  FaultTrigger certain;
+  certain.probability = 1.0;
+  k_.faults().Arm(FaultSite::kCodeInstall, certain);
+  k_.Run(10'000'000);
+  k_.faults().Disarm(FaultSite::kCodeInstall);
+  ASSERT_EQ(st_.StateOf(srv), CcbLayout::kEstablished);
+  ASSERT_EQ(st_.StateOf(cli), CcbLayout::kEstablished);
+  ASSERT_TRUE(st_.DegradedOf(srv));
+  ASSERT_TRUE(st_.DegradedOf(cli));
+  const BlockId walk = nic_.demux().generic_demux();
+  ASSERT_EQ(st_.SynthDeliverOf(srv), walk);
+
+  const uint64_t resynth0 = st_.resynth_gauge().events();
+  k_.AdaptNow();
+  EXPECT_EQ(st_.resynth_gauge().events(), resynth0 + 2);
+  for (ConnId c : {srv, cli}) {
+    EXPECT_FALSE(st_.DegradedOf(c));
+    EXPECT_FALSE(k_.spec().DegradedOf(st_.SpecOf(c)));
+    EXPECT_EQ(k_.spec().TierOf(st_.SpecOf(c)), SpecTier::kSpecialized);
+    EXPECT_NE(st_.SynthDeliverOf(c), walk);
+  }
+
+  // The recovered processors carry the traffic.
+  Addr buf = k_.allocator().Allocate(64);
+  k_.machine().memory().WriteBytes(buf, "recovered", 9);
+  ASSERT_EQ(st_.Send(cli, buf, 9), 9);
+  k_.Run(10'000'000);
+  EXPECT_EQ(DrainAll(srv), "recovered");
+}
+
 TEST_F(StreamTest, DuplicateAlarmAtOneDeadlineFiresExactlyOneTimeout) {
   StreamConfig cfg;
   cfg.rto_base_us = 300;
