@@ -183,8 +183,7 @@ int main() {
                   nic.wire_reorder_gauge().events()));
   std::printf("  checksum rejects:    %llu  (corrupted frames caught by the\n"
               "                             inlined checksum)\n",
-              static_cast<unsigned long long>(
-                  nic.csum_reject_gauge().events()));
+              static_cast<unsigned long long>(nic.demux().csum_rejects()));
   std::printf("  frames demuxed:      %llu\n",
               static_cast<unsigned long long>(nic.rx_gauge().events()));
   bool closed = st.StateOf(client) == CcbLayout::kDone;

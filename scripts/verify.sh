@@ -137,14 +137,17 @@ if command -v python3 > /dev/null; then
   done
 
   # Repository benchmark smoke: one traced window per workload (Release build
-  # in .bench_build/). "correct" covers every operation's bytes and every
-  # workload check (conn_churn: exact occupancy return after the phase), plus
-  # virtual_identical and zero_residual.
-  for w in conn_churn stream_echo file_mix; do
-    python3 perfbench/run.py --workload "$w" --seed 1 --seconds 0 \
-        --trace 1 2> /dev/null | tail -n 1 \
-      | python3 -c 'import json,sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)' \
-      || { echo "verify: perfbench $w smoke failed" >&2; exit 1; }
+  # in .bench_build/), at seed 1 and at the held-out seed 7. "correct" covers
+  # every operation's bytes and every workload check (conn_churn: exact
+  # occupancy return after the phase), plus virtual_identical and
+  # zero_residual.
+  for seed in 1 7; do
+    for w in conn_churn stream_echo file_mix; do
+      python3 perfbench/run.py --workload "$w" --seed "$seed" --seconds 0 \
+          --trace 1 2> /dev/null | tail -n 1 \
+        | python3 -c 'import json,sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)' \
+        || { echo "verify: perfbench $w seed $seed smoke failed" >&2; exit 1; }
+    done
   done
 fi
 

@@ -25,30 +25,26 @@ uint32_t Log2(uint32_t v) {
 Bcache::Bcache(Kernel& kernel, DiskDevice& disk, DiskScheduler& sched,
                BcacheConfig config)
     : kernel_(kernel), disk_(disk), sched_(sched), cfg_(config) {
-  if (cfg_.map_slots == 0) {
-    cfg_.map_slots = 2 * cfg_.entries;  // halve hint-slot collisions
-  }
   // The synthesized hit paths mask block numbers and positions with
-  // (map_slots - 1) and (block_bytes - 1); any other geometry silently
+  // (map slots - 1) and (block_bytes - 1); any other geometry silently
   // aliases blocks, so a bad config is a hard construction error.
   const uint32_t sector = disk_.geometry().sector_bytes;
   if (!IsPow2(cfg_.entries) || !IsPow2(cfg_.block_bytes) ||
-      !IsPow2(cfg_.map_slots) || cfg_.map_slots < cfg_.entries ||
       cfg_.block_bytes < 32 || cfg_.block_bytes % sector != 0 ||
       cfg_.flush_batch == 0 || !(cfg_.flush_period_us > 0)) {
     std::fprintf(stderr,
-                 "Bcache: entries/block_bytes/map_slots must be powers of two "
+                 "Bcache: entries/block_bytes must be powers of two "
                  "(block_bytes >= 32, a multiple of sector_bytes=%u; "
-                 "map_slots >= entries; flush_batch > 0; flush_period_us > 0); "
-                 "got entries=%u block_bytes=%u map_slots=%u flush_batch=%u "
+                 "flush_batch > 0; flush_period_us > 0); "
+                 "got entries=%u block_bytes=%u flush_batch=%u "
                  "flush_period_us=%g\n",
-                 sector, cfg_.entries, cfg_.block_bytes, cfg_.map_slots,
-                 cfg_.flush_batch, cfg_.flush_period_us);
+                 sector, cfg_.entries, cfg_.block_bytes, cfg_.flush_batch,
+                 cfg_.flush_period_us);
     std::abort();
   }
   spb_ = cfg_.block_bytes / sector;
   block_shift_ = Log2(cfg_.block_bytes);
-  map_slots_ = cfg_.map_slots;
+  map_slots_ = 2 * cfg_.entries;  // halves hint-slot collisions
   entries_.resize(cfg_.entries);
 
   KernelAllocator& alloc = kernel_.allocator();

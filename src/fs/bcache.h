@@ -45,7 +45,6 @@ namespace synthesis {
 struct BcacheConfig {
   uint32_t entries = 64;         // power of two
   uint32_t block_bytes = 512;    // power of two, >= 32, multiple of sector_bytes
-  uint32_t map_slots = 0;        // power of two; 0 = 2 * entries
   double flush_period_us = 50'000;  // flusher alarm period
   uint32_t flush_batch = 8;      // max dirty entries written back per tick
   uint32_t read_ahead = 8;       // blocks prefetched after a sequential miss; 0 = off
@@ -55,7 +54,7 @@ struct BcacheConfig {
 // read path walks; the synthesized path folds all of it to immediates.
 struct BcacheLayout {
   static constexpr uint32_t kMapBase = 0;     // lookup map array       [invariant]
-  static constexpr uint32_t kMapMask = 4;     // map_slots - 1          [invariant]
+  static constexpr uint32_t kMapMask = 4;     // map slots - 1          [invariant]
   static constexpr uint32_t kDataBase = 8;    // entry data area        [invariant]
   static constexpr uint32_t kMetaBase = 12;   // per-entry {ref,dirty}  [invariant]
   static constexpr uint32_t kBlockShift = 16; // log2(block_bytes)      [invariant]

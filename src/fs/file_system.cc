@@ -470,10 +470,8 @@ bool FileSystem::Audit(std::string* error) {
   return true;
 }
 
-void FileSystem::MirrorCounters() {
-  uint32_t m = kernel_.machine().memory().Read32(mounts_word_);
-  recovery_mounts_.CountN(static_cast<uint32_t>(m - mounts_seen_));
-  mounts_seen_ = m;
+uint64_t FileSystem::recovery_mounts() const {
+  return kernel_.machine().memory().Read32(mounts_word_);
 }
 
 }  // namespace synthesis

@@ -18,7 +18,6 @@
 #include "src/fs/disk.h"
 #include "src/fs/journal.h"
 #include "src/fs/name_table.h"
-#include "src/io/gauge.h"
 #include "src/kernel/kernel.h"
 
 namespace synthesis {
@@ -107,10 +106,9 @@ class FileSystem {
   // describes the first violation otherwise.
   bool Audit(std::string* error);
 
-  // Mirrored into a 64-bit gauge from a sim-memory word (wrap-safe deltas),
-  // like the journal's counters.
-  const Gauge& recovery_mounts_gauge() const { return recovery_mounts_; }
-  void MirrorCounters();
+  // Mounts this boot, a simulated-memory word bumped at a charged cost and
+  // read in place, like the journal's counters.
+  uint64_t recovery_mounts() const;
 
   // Per-open state for a block-cached file. `first_block`/`blocks` describe
   // the extent in cache-block units; a zero size_addr means the extent cannot
@@ -173,8 +171,6 @@ class FileSystem {
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   Addr mounts_word_ = 0;
-  uint32_t mounts_seen_ = 0;
-  Gauge recovery_mounts_;
 };
 
 }  // namespace synthesis

@@ -238,7 +238,6 @@ uint64_t Journal::Commit(std::function<void()> on_commit) {
         break;
       }
     }
-    committed_count_++;
     Bump(commits_word_);
     if (cb) {
       cb();  // the WAL ordering point: home writes start here
@@ -497,17 +496,14 @@ Journal::RecoverReport Journal::Recover(
   return rep;
 }
 
-void Journal::MirrorCounters() {
-  Memory& mem = kernel_.machine().memory();
-  uint32_t c = mem.Read32(commits_word_);
-  uint32_t r = mem.Read32(replays_word_);
-  uint32_t t = mem.Read32(torn_word_);
-  commits_.CountN(static_cast<uint32_t>(c - commits_seen_));
-  replays_.CountN(static_cast<uint32_t>(r - replays_seen_));
-  torn_.CountN(static_cast<uint32_t>(t - torn_seen_));
-  commits_seen_ = c;
-  replays_seen_ = r;
-  torn_seen_ = t;
+uint64_t Journal::committed_batches() const {
+  return kernel_.machine().memory().Read32(commits_word_);
+}
+uint64_t Journal::replayed_records() const {
+  return kernel_.machine().memory().Read32(replays_word_);
+}
+uint64_t Journal::torn_tails() const {
+  return kernel_.machine().memory().Read32(torn_word_);
 }
 
 }  // namespace synthesis

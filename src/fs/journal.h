@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "src/fs/disk.h"
-#include "src/io/gauge.h"
 #include "src/kernel/kernel.h"
 
 namespace synthesis {
@@ -119,14 +118,11 @@ class Journal {
       const std::function<void(uint32_t file_id, uint32_t size)>& apply_size);
 
   // --- Observability --------------------------------------------------------
-  // 64-bit gauges mirrored (wrap-safe uint32 deltas) from simulated-memory
-  // counter words, the same scheme as NicPool's shed counters.
-  const Gauge& commits_gauge() const { return commits_; }
-  const Gauge& replays_gauge() const { return replays_; }
-  const Gauge& torn_gauge() const { return torn_; }
-  void MirrorCounters();
-
-  uint64_t committed_batches() const { return committed_count_; }
+  // Counter words in simulated memory, bumped at a charged cost and read in
+  // place: batches committed, records replayed and torn tails discarded.
+  uint64_t committed_batches() const;
+  uint64_t replayed_records() const;
+  uint64_t torn_tails() const;
   uint32_t live_sectors() const;
   uint64_t checkpoint_seq() const { return ckpt_seq_; }
 
@@ -169,18 +165,11 @@ class Journal {
   uint64_t ckpt_seq_ = 0;            // on-platter checkpoint
   uint32_t ckpt_pos_ = 1;
   bool ckpt_inflight_ = false;
-  uint64_t committed_count_ = 0;
 
-  // Counter words (simulated memory) + their 64-bit gauge mirrors.
+  // Counter words (simulated memory).
   Addr commits_word_ = 0;
   Addr replays_word_ = 0;
   Addr torn_word_ = 0;
-  uint32_t commits_seen_ = 0;
-  uint32_t replays_seen_ = 0;
-  uint32_t torn_seen_ = 0;
-  Gauge commits_;
-  Gauge replays_;
-  Gauge torn_;
 };
 
 }  // namespace synthesis

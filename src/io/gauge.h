@@ -2,17 +2,16 @@
 // arrival, interrupts). Schedulers use gauges to collect the data-flow
 // measurements that drive fine-grain scheduling (§4.4).
 //
-// Both counters are 64-bit: overload runs (bench/table9) push millions of
-// events through single gauges, far past what 32-bit counters survive over a
-// long uptime. Code that mirrors 32-bit *simulated-memory* counters into
-// gauges must do the delta math in uint32_t (wrap-safe `!=` compares), then
-// feed the delta through CountN. An opt-in assert-on-wrap debug mode catches
-// both a (theoretical) 64-bit wrap and the practical bug it is designed for:
-// a botched mirror computing a near-2^64 "delta" from a wrapped 32-bit word.
+// A gauge counts host events: the device model's traps and wire faults, the
+// stream layer's timers. A counter that synthesized code bumps lives in
+// simulated memory beside that code, and so does one the kernel bumps at a
+// charged cost; both are read in place through their owner's accessor (the
+// demux's csum_rejects(), the journal's committed_batches()), never copied
+// into a gauge. Both gauge counters are 64-bit: overload runs (bench/table9)
+// push millions of events through single gauges.
 #ifndef SRC_IO_GAUGE_H_
 #define SRC_IO_GAUGE_H_
 
-#include <cassert>
 #include <cstdint>
 
 #include "src/kernel/kernel.h"
@@ -28,27 +27,11 @@ class Gauge {
   Gauge(Kernel& kernel, ThreadId owner) : kernel_(&kernel), owner_(owner) {}
 
   void Count(uint32_t bytes = 0) {
-    CheckWrap(1, bytes);
     events_++;
     bytes_ += bytes;
     if (kernel_ != nullptr) {
       kernel_->machine().Charge(4, 1, 0);  // one increment instruction
       kernel_->scheduler().ReportIo(owner_, bytes, kernel_->NowUs());
-    }
-  }
-
-  // Bulk add for code that mirrors device counters; one charge, not N.
-  void CountN(uint64_t events, uint64_t bytes = 0) {
-    if (events == 0 && bytes == 0) {
-      return;
-    }
-    CheckWrap(events, bytes);
-    events_ += events;
-    bytes_ += bytes;
-    if (kernel_ != nullptr) {
-      kernel_->machine().Charge(4, 1, 0);
-      kernel_->scheduler().ReportIo(owner_, static_cast<uint32_t>(bytes),
-                                    kernel_->NowUs());
     }
   }
 
@@ -60,25 +43,7 @@ class Gauge {
     bytes_ = 0;
   }
 
-  // Debug mode: assert (in !NDEBUG builds) if any gauge addition would wrap.
-  // A genuine 2^64 wrap takes centuries; what this actually catches is a bad
-  // 32-bit mirror delta showing up as an absurdly large addition.
-  static void set_assert_on_wrap(bool on) { assert_on_wrap_ = on; }
-  static bool assert_on_wrap() { return assert_on_wrap_; }
-
  private:
-  void CheckWrap(uint64_t ev, uint64_t by) const {
-    if (!assert_on_wrap_) {
-      return;
-    }
-    assert(events_ + ev >= events_ && "gauge event counter wrapped");
-    assert(bytes_ + by >= bytes_ && "gauge byte counter wrapped");
-    (void)ev;
-    (void)by;
-  }
-
-  inline static bool assert_on_wrap_ = false;
-
   Kernel* kernel_ = nullptr;
   ThreadId owner_ = kNoThread;
   uint64_t events_ = 0;

@@ -66,7 +66,6 @@ Kernel::Kernel(Config config)
       alloc_(machine_, 0x1000,
              static_cast<uint32_t>(config.memory_bytes) - 0x1000),
       ready_(machine_, store_),
-      sched_(config.scheduler),
       spec_(store_, config.adapt, [this](BlockId b) { RetireBlock(b); }) {
   store_.SetByteCap(config_.code_byte_cap);
   auto trap = [this](int vector, Machine& m) { return HandleTrap(vector, m); };
@@ -262,9 +261,11 @@ ThreadId Kernel::CreateThread(std::unique_ptr<UserProgram> body,
   t.set_quaspace(quaspace_id);
   t.set_state(ThreadState::kReady);
   t.set_vector_table(tte_addr + TteLayout::kVectors);
-  t.set_uses_fp(!config_.lazy_fp);
+  // Lazy FP: a thread starts without FP state; its first FP instruction
+  // traps, and only then do its switch procedures save and restore FP.
+  t.set_uses_fp(false);
 
-  SynthesizeSwitchProcedures(rec, !config_.lazy_fp);
+  SynthesizeSwitchProcedures(rec, /*with_fp=*/false);
   SynthesizeThreadVectors(rec);
 
   threads_[tid] = std::move(rec);
@@ -588,7 +589,7 @@ bool Kernel::RunSlice() {
   double slice_start = NowUs();
   double quantum = config_.fine_grain_scheduling
                        ? sched_.QuantumUsFor(current_tid_, slice_start)
-                       : sched_.config().base_quantum_us;
+                       : FineGrainScheduler::kBaseQuantumUs;
   double deadline = slice_start + quantum;
 
   bool parked = false;

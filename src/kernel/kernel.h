@@ -55,8 +55,6 @@ class Kernel {
     size_t memory_bytes = 8 * 1024 * 1024;
     MachineConfig machine = MachineConfig::SunEmulation();
     SynthesisOptions synthesis;  // SynthesisOptions::Disabled() = ablation
-    bool lazy_fp = true;         // false: every context switch pays FP cost
-    FineGrainScheduler::Config scheduler;
     bool fine_grain_scheduling = true;  // false: fixed base quantum (ablation)
     // Seed for the fault plane's per-site streams. The constructor also reads
     // SYNTHESIS_FAULTS from the environment and arms sites from it, so whole

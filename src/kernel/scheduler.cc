@@ -10,7 +10,7 @@ void FineGrainScheduler::Decay(PerThread& t, double now_us) {
   if (dt <= 0) {
     return;
   }
-  t.rate_bps *= std::exp(-dt / config_.rate_tau_us);
+  t.rate_bps *= std::exp(-dt / kRateTauUs);
   t.last_update_us = now_us;
 }
 
@@ -23,7 +23,7 @@ void FineGrainScheduler::ReportIo(uint32_t tid, uint32_t bytes, double now_us) {
   Decay(t, now_us);
   // An event of `bytes` spread over the EWMA window contributes
   // bytes / tau_seconds to the smoothed rate.
-  t.rate_bps += static_cast<double>(bytes) / (config_.rate_tau_us * 1e-6);
+  t.rate_bps += static_cast<double>(bytes) / (kRateTauUs * 1e-6);
 }
 
 double FineGrainScheduler::IoRateFor(uint32_t tid, double now_us) {
@@ -37,8 +37,8 @@ double FineGrainScheduler::IoRateFor(uint32_t tid, double now_us) {
 
 double FineGrainScheduler::QuantumUsFor(uint32_t tid, double now_us) {
   double rate = IoRateFor(tid, now_us);
-  double q = config_.base_quantum_us * (1.0 + rate / config_.rate_scale);
-  return std::clamp(q, config_.min_quantum_us, config_.max_quantum_us);
+  double q = kBaseQuantumUs * (1.0 + rate / kRateScale);
+  return std::clamp(q, kMinQuantumUs, kMaxQuantumUs);
 }
 
 }  // namespace synthesis

@@ -17,20 +17,13 @@ namespace synthesis {
 
 class FineGrainScheduler {
  public:
-  struct Config {
-    double base_quantum_us = 200;
-    double min_quantum_us = 100;
-    double max_quantum_us = 800;
-    // EWMA time constant for the I/O rate gauge, in microseconds.
-    double rate_tau_us = 10'000;
-    // I/O bytes/second at which the quantum doubles over the base.
-    double rate_scale = 500'000;
-  };
-
-  FineGrainScheduler() = default;
-  explicit FineGrainScheduler(Config config) : config_(config) {}
-
-  const Config& config() const { return config_; }
+  static constexpr double kBaseQuantumUs = 200;
+  static constexpr double kMinQuantumUs = 100;
+  static constexpr double kMaxQuantumUs = 800;
+  // EWMA time constant for the I/O rate gauge, in microseconds.
+  static constexpr double kRateTauUs = 10'000;
+  // I/O bytes/second at which the quantum doubles over the base.
+  static constexpr double kRateScale = 500'000;
 
   void AddThread(uint32_t tid) { threads_[tid] = PerThread{}; }
   void RemoveThread(uint32_t tid) { threads_.erase(tid); }
@@ -52,7 +45,6 @@ class FineGrainScheduler {
 
   void Decay(PerThread& t, double now_us);
 
-  Config config_{};
   std::unordered_map<uint32_t, PerThread> threads_;
 };
 

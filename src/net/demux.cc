@@ -666,14 +666,14 @@ Addr DemuxSynthesizer::ctr_malformed_addr() const {
 }
 Addr DemuxSynthesizer::ctr_csum_addr() const { return ctrs_ + kCtrCsum; }
 
-void DemuxSynthesizer::ResetCounters() {
-  Memory& mem = kernel_.machine().memory();
-  for (uint32_t off = 0; off < kCtrBytes; off += 4) {
-    mem.Write32(ctrs_ + off, 0);
+bool DemuxSynthesizer::SetDelivered(uint16_t port, uint32_t count) {
+  auto it = index_.find(port);
+  if (it == index_.end()) {
+    return false;
   }
-  for (const Flow& f : flows_) {
-    mem.Write32(f.ctr, 0);
-  }
+  kernel_.machine().memory().Write32(flows_[it->second].ctr, count);
+  kernel_.machine().Charge(kCellStoreCycles, 1, 1);
+  return true;
 }
 
 }  // namespace synthesis

@@ -120,13 +120,16 @@ class DemuxSynthesizer {
   // demux cell. The hook must be cheap and idempotent.
   void SetSwapHook(std::function<void()> hook) { swap_hook_ = std::move(hook); }
 
-  // Counters, bumped by the demux micro-code in simulated memory.
+  // Counters, bumped by the demux micro-code in simulated memory and read
+  // there.
   uint64_t csum_rejects() const;
   uint64_t malformed() const;
   uint64_t ring_drops() const;
   uint64_t delivered_total() const;
   uint64_t delivered(uint16_t port) const;
-  void ResetCounters();
+  // Continues a flow's delivered count from another demux (pool migration):
+  // one store into the flow's counter word. False for an unbound port.
+  bool SetDelivered(uint16_t port, uint32_t count);
 
  private:
   struct Flow {

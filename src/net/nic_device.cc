@@ -72,9 +72,6 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
       admission_hook_(rx_inflight_);
     }
     rx_gauge_.Count();
-    if (shared_rx_gauge_ != nullptr) {
-      shared_rx_gauge_->Count();
-    }
     uint32_t result = m.reg(kD0);
     if (result == 1) {
       auto it = flows_.find(static_cast<uint16_t>(m.reg(kD2)));
@@ -90,13 +87,6 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     } else if (result == static_cast<uint32_t>(-2)) {
       nomatch_gauge_.Count();
     }
-    // Mirror the micro-code's checksum-reject counter into a host gauge so
-    // rejects are observable through the standard gauge facility. The sim
-    // counter is a 32-bit word that wraps on long overload runs; wrapping
-    // uint32_t subtraction keeps the delta right across the rollover.
-    uint32_t rejects = static_cast<uint32_t>(demux_.csum_rejects());
-    csum_reject_gauge_.CountN(rejects - csum_seen_);
-    csum_seen_ = rejects;
     return TrapAction::kContinue;
   });
 

@@ -188,10 +188,6 @@ class NicDevice {
   // routine (the steering stage indexes a table of these).
   Addr inner_cell_addr() const { return inner_cell_; }
 
-  // Aggregation hook: an extra gauge counted on every RX completion (the pool
-  // feeds one shared gauge to the fine-grain scheduler).
-  void SetSharedRxGauge(Gauge* g) { shared_rx_gauge_ = g; }
-
   // Admission tap: called with the new RX queue depth on every rx_inflight
   // change (frame landed in a slot, or the demux drained one). The pool's
   // overload armor watches this to engage/disengage the shed filter.
@@ -209,9 +205,10 @@ class NicDevice {
   BlockId rx_entry() const { return rx_entry_; }
   BlockId tx_entry() const { return tx_entry_; }
 
-  // Host-observable event gauges (§2.3) and wire statistics.
+  // Host-observable event gauges (§2.3) and wire statistics. What the demux
+  // micro-code counts (checksum rejects, drops) is read in place through
+  // demux().
   Gauge& rx_gauge() { return rx_gauge_; }
-  Gauge& csum_reject_gauge() { return csum_reject_gauge_; }
   Gauge& nomatch_gauge() { return nomatch_gauge_; }
   Gauge& wire_drop_gauge() { return wire_drop_gauge_; }
   Gauge& corrupt_gauge() { return corrupt_gauge_; }
@@ -348,22 +345,15 @@ class NicDevice {
   uint32_t burst_left_ = 0;  // remaining frames of an in-progress loss burst
 
   Gauge rx_gauge_;
-  Gauge csum_reject_gauge_;
   Gauge nomatch_gauge_;
   Gauge wire_drop_gauge_;
   Gauge corrupt_gauge_;
   Gauge wire_reorder_gauge_;
   Gauge wire_dup_gauge_;
   Gauge tx_spurious_gauge_;
-  Gauge* shared_rx_gauge_ = nullptr;  // pool-wide aggregate, optional
   std::function<void()> tx_drain_hook_;
   uint64_t tx_completed_ = 0;
   uint64_t rx_overruns_ = 0;
-  // Last demux csum-reject count mirrored into the gauge. Deliberately the
-  // same width as the 32-bit simulated counter word it shadows: the delta is
-  // computed in wrapping uint32_t arithmetic, so the mirror stays correct
-  // when the sim word rolls over on long overload runs.
-  uint32_t csum_seen_ = 0;
   std::function<void(uint32_t)> admission_hook_;
   double tx_busy_until_ = 0;  // serialized DMA engine availability time
 };

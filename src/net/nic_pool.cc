@@ -135,7 +135,6 @@ void NicPool::AppendNic() {
   nc.irq_tag = static_cast<uint32_t>(nics_.size()) << kTagShift;
   nc.install_vectors = false;
   nics_.push_back(std::make_unique<NicDevice>(kernel_, nc));
-  nics_.back()->SetSharedRxGauge(&rx_gauge_);
   nics_.back()->SetAdmissionHook([this](uint32_t depth) { NoteRxDepth(depth); });
   if (tx_drain_hook_) {
     nics_.back()->SetTxDrainHook(tx_drain_hook_);
@@ -383,20 +382,6 @@ void NicPool::WriteShedBit(uint16_t port, bool on) {
   kernel_.machine().Charge(6, 1, 1);
 }
 
-void NicPool::MirrorShedCounters() {
-  // Mirror the filter's drop counters (32-bit sim words) into the gauges
-  // with wrapping uint32_t deltas, so sustained overload can't skew them.
-  Memory& mem = kernel_.machine().memory();
-  uint32_t dropped = static_cast<uint32_t>(mem.Read32(shed_ctr_));
-  shed_gauge_.CountN(dropped - shed_seen_);
-  shed_seen_ = dropped;
-  if (shed_data_ctr_ != 0) {
-    uint32_t data = static_cast<uint32_t>(mem.Read32(shed_data_ctr_));
-    shed_data_gauge_.CountN(data - shed_data_seen_);
-    shed_data_seen_ = data;
-  }
-}
-
 void NicPool::EnterShedLevel(uint32_t lvl) {
   const uint32_t prev = shed_level_;
   shed_level_ = lvl;
@@ -437,8 +422,6 @@ void NicPool::NoteRxDepth(uint32_t depth) {
   if (!config_.admission_control) {
     return;
   }
-  MirrorShedCounters();
-
   // Escalation ladder: level 1 (unknown-port drop) engages at the high
   // watermark; level 2 (bulk data sheds too, control stays admissible) at the
   // data watermark. De-escalation skips straight to level 0 — a pool drained
@@ -472,7 +455,7 @@ bool NicPool::AddNic() {
   // identically, each from the record its old NIC kept. The flow's
   // processors (the stream layer's CCB-absolute segment code) are
   // NIC-agnostic and move by reference; only cells on the affected NICs
-  // change.
+  // change. The delivered count continues in the new owner's counter word.
   std::vector<std::pair<uint16_t, uint32_t>> moved;  // (port, old NIC)
   for (uint32_t i = 0; i < size(); i++) {
     for (const auto& [port, spec] : nics_[i]->flows()) {
@@ -484,8 +467,11 @@ bool NicPool::AddNic() {
   std::sort(moved.begin(), moved.end());
   for (const auto& [port, from] : moved) {
     FlowSpec spec = nics_[from]->flows().at(port);
-    bool ok = nics_[from]->UnbindFlow(port) &&
-              nics_[SteerOf(port)]->BindFlow(std::move(spec));
+    const auto delivered =
+        static_cast<uint32_t>(nics_[from]->demux().delivered(port));
+    NicDevice& to = *nics_[SteerOf(port)];
+    bool ok = nics_[from]->UnbindFlow(port) && to.BindFlow(std::move(spec)) &&
+              to.demux().SetDelivered(port, delivered);
     assert(ok);
     (void)ok;
   }
@@ -549,9 +535,9 @@ void NicPool::InjectRaw(uint32_t dst_port, uint32_t src_port,
       .InjectRaw(dst_port, src_port, payload, n, checksum, length_field);
 }
 
-NicPool::AggregateStats NicPool::Aggregate() {
+NicPool::AggregateStats NicPool::Aggregate() const {
   AggregateStats s;
-  for (auto& nic : nics_) {
+  for (const auto& nic : nics_) {
     s.delivered += nic->demux().delivered_total();
     s.tx_completed += nic->tx_completed();
     s.rx_overruns += nic->rx_overruns();
@@ -561,10 +547,11 @@ NicPool::AggregateStats NicPool::Aggregate() {
     s.wire_drops += nic->wire_drop_gauge().events();
     s.tx_spurious += nic->tx_spurious_gauge().events();
   }
-  // Fold any not-yet-mirrored filter drops into the gauges first.
-  MirrorShedCounters();
-  s.early_sheds = shed_gauge_.events();
-  s.data_sheds = shed_data_gauge_.events();
+  const Memory& mem = kernel_.machine().memory();
+  s.early_sheds = mem.Read32(shed_ctr_);
+  if (shed_data_ctr_ != 0) {
+    s.data_sheds = mem.Read32(shed_data_ctr_);
+  }
   return s;
 }
 

@@ -64,7 +64,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/io/gauge.h"
 #include "src/kernel/kernel.h"
 #include "src/net/nic_device.h"
 
@@ -150,10 +149,6 @@ class NicPool {
   bool data_shedding() const { return shed_level_ >= 2; }
   uint64_t shed_engages() const { return shed_engages_; }
   uint64_t shed_escalations() const { return shed_escalations_; }
-  // Frames dropped by the filter before any demux work: unknown ports, and
-  // (level 2) bound-port bulk data.
-  Gauge& shed_gauge() { return shed_gauge_; }
-  Gauge& shed_data_gauge() { return shed_data_gauge_; }
   // Depth signal from a member NIC (wired automatically; public for tests).
   void NoteRxDepth(uint32_t depth);
 
@@ -194,10 +189,9 @@ class NicPool {
   // ring the moment a slot frees.
   void SetTxDrainHook(std::function<void()> hook);
 
-  // --- Aggregation for the fine-grain scheduler ------------------------------
-  // One pool-wide RX gauge every member NIC counts into.
-  Gauge& rx_gauge() { return rx_gauge_; }
-
+  // --- Pool-wide counters ----------------------------------------------------
+  // Sums over the member NICs plus the shed filter's drop counters, each read
+  // where it lives.
   struct AggregateStats {
     uint64_t delivered = 0;
     uint64_t tx_completed = 0;
@@ -210,7 +204,7 @@ class NicPool {
     uint64_t data_sheds = 0;   // bound-port bulk data shed at level 2
     uint64_t tx_spurious = 0;  // TX-complete dispatches with nothing to retire
   };
-  AggregateStats Aggregate();
+  AggregateStats Aggregate() const;
 
  private:
   // Descriptor layout (simulated memory, read by the generic steering loop):
@@ -236,7 +230,6 @@ class NicPool {
   void InstallShedFilter(); // re-applies steering while shedding
   void WriteShedBit(uint16_t port, bool on);
   void EnterShedLevel(uint32_t lvl);
-  void MirrorShedCounters();
 
   Kernel& kernel_;
   NicPoolConfig config_;
@@ -267,14 +260,8 @@ class NicPool {
   uint32_t shed_level_ = 0;
   uint64_t shed_engages_ = 0;
   uint64_t shed_escalations_ = 0;
-  uint32_t shed_seen_ = 0;  // wrap-safe 32-bit mirror cursor of shed_ctr_
-  uint32_t shed_data_seen_ = 0;
   uint32_t shed_gen_ = 0;
   uint32_t shed_filter_level_ = 0;  // level shape of the last emitted filter
-  Gauge shed_gauge_;
-  Gauge shed_data_gauge_;
-
-  Gauge rx_gauge_;
   std::function<void()> tx_drain_hook_;  // replayed onto NICs added later
 };
 

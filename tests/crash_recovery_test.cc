@@ -84,7 +84,7 @@ struct Golden {
 
 // Drives one deterministic schedule of writes, fsyncs, and cache churn
 // against a crash stack until the power fails or the schedule ends, tracking
-// the golden model; then reboots and verifies survival + audit + gauges.
+// the golden model; then reboots and verifies survival + audit + counters.
 class CrashRunner {
  public:
   static constexpr uint32_t kCap = 16 * 512;  // the file spans the cache
@@ -135,7 +135,7 @@ class CrashRunner {
   }
 
   // Reboots on the surviving image and asserts recovery + survival. The
-  // gauges are asserted exactly against the mount report.
+  // counters are asserted exactly against the mount report.
   void VerifyAfterReboot() {
     const bool crashed = h_.Crashed();
     FileSystem::MountReport rep = h_.Reboot();
@@ -147,11 +147,9 @@ class CrashRunner {
     // Verification must not itself power-fail under a background FAULTS=1
     // spec; lost/late completions stay armed (they only slow things down).
     s.kernel.faults().Disarm(FaultSite::kPowerFail);
-    s.fs.MirrorCounters();
-    s.journal.MirrorCounters();
-    EXPECT_EQ(s.fs.recovery_mounts_gauge().events(), 1u);
-    EXPECT_EQ(s.journal.replays_gauge().events(), rep.replayed_records);
-    EXPECT_EQ(s.journal.torn_gauge().events(), rep.torn_tails);
+    EXPECT_EQ(s.fs.recovery_mounts(), 1u);
+    EXPECT_EQ(s.journal.replayed_records(), rep.replayed_records);
+    EXPECT_EQ(s.journal.torn_tails(), rep.torn_tails);
     if (!crashed) {
       EXPECT_EQ(rep.torn_tails, 0u) << "a clean shutdown has no torn tail";
     }
@@ -252,11 +250,27 @@ TEST(CrashRecoveryTest, CrashComposedWithLostAndLateDiskCompletions) {
 }
 
 // A clean shutdown (final fsync, no crash) must remount with zero replayed
-// records pending loss and an exact recovery_mounts gauge of one.
+// records pending loss and an exact recovery_mounts count of one. The
+// remounted journal then counts every batch it commits: three rounds fire
+// three commit callbacks and read back as three committed batches.
 TEST(CrashRecoveryTest, CleanRebootRemountsWithAuditClean) {
   CrashRunner r(SmallCfg());
   ASSERT_FALSE(r.Run(/*seed=*/42, /*ops=*/40));
   r.VerifyAfterReboot();
+
+  // The batches are only logged: no home write follows their commits, so
+  // the target block numbers are never written.
+  CrashStack& s = r.harness().stack();
+  const std::vector<uint8_t> block(s.journal.payload_bytes(), 0x5a);
+  int fired = 0;
+  for (uint32_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(s.journal.BeginBatch(/*data_entries=*/1, /*meta_entries=*/0));
+    s.journal.AddBlock(/*block=*/i, block.data());
+    s.journal.Commit([&fired] { fired++; });
+  }
+  DiskScheduler::DriveUntil(s.kernel, [&fired] { return fired == 3; });
+  EXPECT_EQ(fired, 3);
+  EXPECT_EQ(s.journal.committed_batches(), 3u);
 }
 
 // --- Fsync durability audit --------------------------------------------------

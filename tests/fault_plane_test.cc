@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "src/io/gauge.h"
 #include "src/kernel/fault_plane.h"
 #include "src/kernel/kernel.h"
 #include "src/machine/assembler.h"
@@ -260,29 +259,6 @@ TEST(FaultPlaneKernelTest, FaultSeedConfigAndReseedReachThePlane) {
   if (env) {
     setenv("SYNTHESIS_FAULTS", saved.c_str(), 1);
   }
-}
-
-// CountN is the bulk-mirror entry: one addition, arbitrary event counts, and
-// the wrap-safe uint32_t delta discipline its callers use survives the
-// simulated counter word rolling over.
-TEST(GaugeAuditTest, CountNAccumulatesAndMirrorSurvivesU32Wrap) {
-  Gauge g;
-  g.CountN(10, 1000);
-  g.CountN(0, 0);  // no-op
-  g.CountN(1u << 20, 0);
-  EXPECT_EQ(g.events(), 10u + (1u << 20));
-  EXPECT_EQ(g.bytes(), 1000u);
-
-  // The mirror pattern: sim word wraps 0xFFFFFFFE -> 3; the uint32_t delta
-  // (5) is what reaches the 64-bit gauge, not a near-2^64 garbage value.
-  uint32_t sim_word = 0xFFFFFFFEu;
-  uint32_t seen = sim_word;
-  sim_word += 5;  // wraps
-  Gauge m;
-  Gauge::set_assert_on_wrap(true);  // would abort on a botched mirror delta
-  m.CountN(static_cast<uint32_t>(sim_word - seen));
-  Gauge::set_assert_on_wrap(false);
-  EXPECT_EQ(m.events(), 5u);
 }
 
 }  // namespace

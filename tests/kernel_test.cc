@@ -279,7 +279,7 @@ TEST_F(KernelTest, FineGrainSchedulerGrowsQuantumWithIoRate) {
   }
   double busy = s.QuantumUsFor(a, k_.NowUs());
   EXPECT_GT(busy, base);
-  EXPECT_LE(busy, s.config().max_quantum_us);
+  EXPECT_LE(busy, FineGrainScheduler::kMaxQuantumUs);
 }
 
 TEST_F(KernelTest, IoRateDecaysOverTime) {

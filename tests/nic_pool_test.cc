@@ -127,8 +127,9 @@ TEST(NicPoolTest, GrowReSynthesizesSteeringAndMigratesMovedFlows) {
   NicPool::AggregateStats agg = pool.Aggregate();
   EXPECT_EQ(agg.delivered, 2u);
   EXPECT_EQ(agg.tx_completed, 2u);
-  EXPECT_EQ(pool.rx_gauge().events(), 2u)
-      << "member NICs count into the shared pool gauge";
+  EXPECT_EQ(pool.nic(0).rx_gauge().events() + pool.nic(1).rx_gauge().events(),
+            2u)
+      << "each frame is counted once, by the NIC it entered through";
 
   // Growing to a non-power-of-two keeps both implementations in agreement.
   ASSERT_TRUE(pool.AddNic());
@@ -140,6 +141,32 @@ TEST(NicPoolTest, GrowReSynthesizesSteeringAndMigratesMovedFlows) {
     EXPECT_EQ(CallWithFrame(k, pool.synthesized_steering(), frame, port, "abc"),
               1u);
   }
+}
+
+// A migrated flow's delivered count continues on the new owner's demux: the
+// grow moves the count with the flow instead of restarting it at zero.
+TEST(NicPoolTest, MigratedFlowKeepsItsDeliveredCount) {
+  Kernel k;
+  IoSystem io(k, nullptr);
+  NicPoolConfig pc;
+  pc.initial_nics = 1;
+  NicPool pool(k, pc);
+  auto ring = io.MakeRing(4096);
+  ASSERT_TRUE(pool.BindFlow(FlowSpec::Ring(101, ring)));
+  const uint8_t msg[] = {'h', 'i'};
+  for (int i = 0; i < 3; i++) {
+    ASSERT_TRUE(pool.Transmit(101, 9001, msg, 2));
+  }
+  k.Run();
+  ASSERT_EQ(pool.nic(0).demux().delivered(101), 3u);
+
+  ASSERT_TRUE(pool.AddNic());
+  ASSERT_EQ(pool.SteerOf(101), 1u) << "port 101 must migrate to NIC 1";
+  EXPECT_EQ(pool.nic(1).demux().delivered(101), 3u)
+      << "the count continues on the new owner's demux";
+  ASSERT_TRUE(pool.Transmit(101, 9001, msg, 2));
+  k.Run();
+  EXPECT_EQ(pool.nic(1).demux().delivered(101), 4u);
 }
 
 TEST(NicPoolTest, StreamConnectionSurvivesPoolGrowthMidTransfer) {
