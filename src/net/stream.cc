@@ -734,14 +734,14 @@ ConnId StreamLayer::Connect(uint16_t dst_port, StreamConfig cfg) {
   c.snd_nxt += 1;
   kernel_.machine().memory().Write32(c.ccb + CcbLayout::kSndNxt, c.snd_nxt);
   c.unacked.push_back(syn);
-  if (!TransmitSeg(c, syn)) {
+  if (!TransmitSeg(c, c.unacked.back())) {
     DeferWindow(c);  // replayed from the drain hook; the RTO also covers it
   }
   ArmTimer(c);
   return id;
 }
 
-bool StreamLayer::TransmitSeg(Conn& c, const Seg& seg) {
+bool StreamLayer::TransmitSeg(Conn& c, Seg& seg) {
   Memory& mem = kernel_.machine().memory();
   // Header on the stack, payload borrowed from the segment: the gather API
   // writes both straight into the TX descriptor slot, so no contiguous
@@ -764,6 +764,9 @@ bool StreamLayer::TransmitSeg(Conn& c, const Seg& seg) {
     tx_full_drops_gauge_.Count();
     return false;
   }
+  seg.owed = false;
+  seg.sent = true;
+  c.ack_deferred = false;  // every segment carries the current ack
   return true;
 }
 
@@ -785,12 +788,34 @@ void StreamLayer::DeferWindow(Conn& c) {
   tx_deferred_.insert(c.id);
 }
 
+// Puts every owed segment on the wire, oldest first; one that had already
+// left once counts as a retransmit. A full ring stops the walk and re-defers
+// the rest to the drain hook, so wire order holds. Returns false then.
+bool StreamLayer::SendOwed(Conn& c) {
+  for (Seg& s : c.unacked) {
+    if (!s.owed) {
+      continue;
+    }
+    const bool again = s.sent;
+    if (!TransmitSeg(c, s)) {
+      DeferWindow(c);
+      return false;
+    }
+    if (again) {
+      c.retransmits++;
+      retransmit_gauge_.Count();
+    }
+  }
+  return true;
+}
+
 // Runs from the NIC's TX-complete retirement, after a slot freed: replay
-// whatever the full ring cut short. Window replays resend the outstanding
-// segments in order (the untransmitted suffix rides behind the already-sent
-// prefix; the receiver's dup accounting absorbs the overlap), then push any
-// window the deferral blocked. A replay that finds the ring full again
-// simply re-defers — the next retirement retries.
+// whatever the full ring cut short. A window replay sends only the owed
+// segments, in order: the sends the full ring refused, first sends and
+// scheduled resends alike. The prefix that left before the ring filled is
+// not sent again. Then it pushes any window the deferral blocked. A replay
+// that finds the ring full again simply re-defers — the next retirement
+// retries.
 void StreamLayer::OnTxDrain() {
   if (tx_deferred_.empty()) {
     return;
@@ -803,20 +828,10 @@ void StreamLayer::OnTxDrain() {
         c->state == CcbLayout::kDone) {
       continue;
     }
-    const bool ack = c->ack_deferred;
-    const bool wnd = c->wnd_deferred;
-    c->ack_deferred = false;
-    c->wnd_deferred = false;
-    if (wnd) {
-      bool replayed = true;
+    if (c->wnd_deferred) {
+      c->wnd_deferred = false;
       pool_.BeginTxBurst(c->peer_port);
-      for (const Seg& s : c->unacked) {
-        if (!TransmitSeg(*c, s)) {
-          DeferWindow(*c);
-          replayed = false;
-          break;
-        }
-      }
+      const bool replayed = SendOwed(*c);
       pool_.CommitTxBurst(c->peer_port);
       if (replayed) {
         PushWindow(*c);
@@ -825,7 +840,10 @@ void StreamLayer::OnTxDrain() {
       if (!c->unacked.empty() && !c->timer_armed) {
         ArmTimer(*c);
       }
-    } else if (ack) {
+    }
+    // A deferred pure ACK is still owed only if no segment has left since.
+    if (c->ack_deferred && !c->wnd_deferred) {
+      c->ack_deferred = false;
       SendAck(*c);  // re-defers itself if the ring is still full
     }
   }
@@ -856,8 +874,8 @@ void StreamLayer::PushWindow(Conn& c) {
                     c.pending.begin() + static_cast<long>(take));
     c.snd_nxt += take;
     mem.Write32(c.ccb + CcbLayout::kSndNxt, c.snd_nxt);
-    c.unacked.push_back(s);
-    if (!TransmitSeg(c, s)) {
+    c.unacked.push_back(std::move(s));
+    if (!TransmitSeg(c, c.unacked.back())) {
       // The segment stays on unacked; the drain replay (or the RTO) covers
       // it. Later segments are not attempted — wire order is preserved.
       DeferWindow(c);
@@ -874,7 +892,7 @@ void StreamLayer::PushWindow(Conn& c) {
     c.unacked.push_back(fin);
     c.fin_sent = true;
     SetState(c, CcbLayout::kFinSent);
-    if (!TransmitSeg(c, fin)) {
+    if (!TransmitSeg(c, c.unacked.back())) {
       DeferWindow(c);
     }
   }
@@ -951,16 +969,12 @@ void StreamLayer::OnTimer(ConnId id) {
   // Go-back-N: the receiver keeps no out-of-order buffer, so everything after
   // the lost segment was discarded — resend the whole outstanding window, as
   // one burst. A full ring cuts the replay short; the drain hook finishes it
-  // (only actually-transmitted segments count as retransmits).
-  pool_.BeginTxBurst(c->peer_port);
-  for (const Seg& s : c->unacked) {
-    if (!TransmitSeg(*c, s)) {
-      DeferWindow(*c);
-      break;
-    }
-    c->retransmits++;
-    retransmit_gauge_.Count();
+  // (only segments that actually leave again count as retransmits).
+  for (Seg& s : c->unacked) {
+    s.owed = true;
   }
+  pool_.BeginTxBurst(c->peer_port);
+  SendOwed(*c);
   pool_.CommitTxBurst(c->peer_port);
   ArmTimer(*c);
 }
@@ -1329,12 +1343,14 @@ void StreamLayer::OnDeliver(ConnId id) {
     if (dups >= c->dup_base + 3 && !c->unacked.empty()) {
       // Triple duplicate ack: the front segment is presumed lost.
       c->dup_base = dups;
-      if (TransmitSeg(*c, c->unacked.front())) {
+      Seg& front = c->unacked.front();
+      front.owed = true;
+      if (TransmitSeg(*c, front)) {
         c->fast_retransmits++;
         c->retransmits++;
         retransmit_gauge_.Count();
       } else {
-        DeferWindow(*c);  // the drain replay resends the front anyway
+        DeferWindow(*c);  // the drain replay resends the owed front
       }
     }
   }
@@ -1406,7 +1422,7 @@ void StreamLayer::HandleCtrl(Conn& c) {
         c.snd_nxt += 1;
         mem.Write32(c.ccb + CcbLayout::kSndNxt, c.snd_nxt);
         c.unacked.push_back(synack);
-        if (!TransmitSeg(c, synack)) {
+        if (!TransmitSeg(c, c.unacked.back())) {
           DeferWindow(c);  // replayed from unacked; RTO covers it too
         }
         ArmTimer(c);
@@ -1447,7 +1463,9 @@ void StreamLayer::HandleCtrl(Conn& c) {
     // The peer retransmitted its SYN: our SYN|ACK (or its ack) was lost.
     if (!c.unacked.empty() &&
         (c.unacked.front().flags & StreamSeg::kFlagSyn)) {
-      if (TransmitSeg(c, c.unacked.front())) {
+      Seg& syn = c.unacked.front();
+      syn.owed = true;
+      if (TransmitSeg(c, syn)) {
         c.retransmits++;
         retransmit_gauge_.Count();
       } else {

@@ -148,9 +148,14 @@ struct CcbLayout {
 struct StreamConfig {
   uint32_t window_segments = 8;  // send window, in segments (the cwnd cap)
   uint32_t max_seg_data = 256;   // data bytes per segment
-  // The initial retransmission timeout. Segment service time on the simulated
-  // machine is ~1ms (checksum + per-byte ring copy at 68020 speed), so the
-  // base timeout leaves a healthy wire several service times of headroom.
+  // The initial retransmission timeout, fixed (no RTT estimator). Segment
+  // service time on the simulated machine is ~1ms (checksum + per-byte ring
+  // copy at 68020 speed), so this is only about four service times, and a
+  // burst of four or more 256 B segments already outlives it on a clean
+  // wire: a frame is delivered a wire latency after its TX-completion
+  // interrupt is serviced, and interrupts do not nest, so the receiver's
+  // acks for the burst reach the sender after this alarm and it goes back N
+  // (ROADMAP records the measurements).
   double rto_base_us = 4000.0;
   double rto_cap_us = 64000.0;   // backoff ceiling
   uint32_t max_retries = 8;      // per-segment; exceeded => connection fails
@@ -299,9 +304,14 @@ class StreamLayer {
  private:
   // One in-flight segment: its assigned sequence number, payload, and flags.
   // SYN/FIN segments span one sequence number; data segments span their size.
+  // `owed` marks a segment still to be put on the wire: set when it is queued
+  // or scheduled for resend, cleared when TransmitSeg succeeds. `sent` records
+  // that it left at least once, so any later send of it is a retransmit.
   struct Seg {
     uint32_t seq = 0;
     uint32_t flags = 0;
+    bool owed = true;
+    bool sent = false;
     std::vector<uint8_t> data;
     uint32_t Span() const {
       return static_cast<uint32_t>(data.size()) +
@@ -376,8 +386,10 @@ class StreamLayer {
     // drives anyone else's probe or reap rate.
     uint64_t next_probe_ticks = 0;
     // TX-ring-full deferrals, replayed from the drain hook: a pure ACK owed
-    // (ack_deferred) and/or in-flight segments whose transmit was cut short
-    // (wnd_deferred — the segments themselves sit on unacked/pending).
+    // (ack_deferred, cleared by any segment that leaves, since each carries
+    // the current ack) and/or segments whose transmit was cut short
+    // (wnd_deferred — the segments themselves sit on unacked, marked owed,
+    // or on pending).
     bool ack_deferred = false;
     bool wnd_deferred = false;
 
@@ -406,7 +418,8 @@ class StreamLayer {
   void InstallDeliver(ConnId id, SpecInstall why);
   uint16_t AllocateEphemeral();
 
-  bool TransmitSeg(Conn& c, const Seg& seg);
+  bool TransmitSeg(Conn& c, Seg& seg);
+  bool SendOwed(Conn& c);
   void SendAck(Conn& c);
   void PushWindow(Conn& c);
   void DeferAck(Conn& c);

@@ -493,7 +493,8 @@ TEST(BatchTxTest, SenderParksOnCongestedRingAndEveryByteArrives) {
   // A 4-slot TX ring under an 8-segment window: window pushes are cut short
   // constantly. The deferral path must park the sender instead of losing
   // segments, replay from the drain hook, and deliver the byte stream intact
-  // with no timeout ever firing.
+  // with no timeout ever firing. The replay resends only segments that never
+  // left, so on this clean wire no segment arrives twice and none is resent.
   Kernel k;
   IoSystem io(k, nullptr);
   NicPoolConfig pc;
@@ -521,6 +522,10 @@ TEST(BatchTxTest, SenderParksOnCongestedRingAndEveryByteArrives) {
       << "the ring was never congested — the test is vacuous";
   EXPECT_EQ(st.timeout_gauge().events(), 0u)
       << "deferral replay must beat the RTO every time";
+  EXPECT_EQ(st.Stats(srv).out_of_order, 0u)
+      << "the replay resent segments that had already left";
+  EXPECT_EQ(st.Stats(cli).retransmits, 0u)
+      << "duplicate arrivals were re-acked into fast retransmits";
   EXPECT_EQ(st.StateOf(cli), CcbLayout::kDone);
   EXPECT_EQ(st.StateOf(srv), CcbLayout::kDone);
 }

@@ -5,8 +5,9 @@
 // late disk completions), reboots on the surviving platter image, and asserts
 // that every fsynced byte survives and the mount-time auditor comes back
 // clean. Plus the fsync durability audit (fsync must wait out retried
-// completions before acking) and construction death tests for the journal
-// and flusher geometry.
+// completions before acking), CRC-32 conformance for the journal and
+// metadata seals, and construction death tests for the journal and flusher
+// geometry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -352,6 +353,68 @@ TEST(FsyncDurabilityAudit, JournalLessFsyncStillLandsBytes) {
                               body.begin(), body.end());
   EXPECT_NE(it, platter.end())
       << "journal-less fsync returned before the bytes reached the platter";
+}
+
+// --- CRC-32 conformance ------------------------------------------------------
+
+// The oracle: the bitwise CRC-32 the table-driven one replaced, one shift-xor
+// step per bit with the same reflected polynomial and the same ~seed/~crc
+// chaining.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t len, uint32_t seed = 0) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; i++) {
+    crc ^= data[i];
+    for (int b = 0; b < 8; b++) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, CheckValueAndEmptyBuffer) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(check.data()), check.size()),
+            0xCBF43926u);
+  const uint8_t none[1] = {0};
+  EXPECT_EQ(Crc32(none, 0), 0u);
+  EXPECT_EQ(Crc32(none, 0, 0x1234'5678u), 0x1234'5678u)
+      << "an empty buffer leaves a chained CRC unchanged";
+}
+
+TEST(Crc32Test, ChainingEqualsOneCallOverTheConcatenation) {
+  std::mt19937 rng(5);
+  std::vector<uint8_t> buf(300);
+  for (uint8_t& b : buf) {
+    b = static_cast<uint8_t>(rng());
+  }
+  const uint32_t whole = Crc32(buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); split++) {
+    const uint32_t a = Crc32(buf.data(), split);
+    ASSERT_EQ(Crc32(buf.data() + split, buf.size() - split, a), whole)
+        << "split at " << split;
+  }
+}
+
+// Every length 0-1100 (past a 1 KB payload, so every tail length meets every
+// count of eight-byte steps) at every start offset 0-7 (every alignment of
+// the word loads), unchained and chained onto a random seed.
+TEST(Crc32Test, AgreesWithTheBitwiseLoopAtEveryLengthAndOffset) {
+  constexpr size_t kMaxLen = 1100;
+  std::mt19937 rng(19);
+  std::vector<uint8_t> buf(kMaxLen + 8);
+  for (size_t off = 0; off < 8; off++) {
+    for (uint8_t& b : buf) {
+      b = static_cast<uint8_t>(rng());
+    }
+    const uint8_t* p = buf.data() + off;
+    for (size_t len = 0; len <= kMaxLen; len++) {
+      const uint32_t seed = static_cast<uint32_t>(rng());
+      ASSERT_EQ(Crc32(p, len), BitwiseCrc32(p, len))
+          << "offset " << off << " length " << len;
+      ASSERT_EQ(Crc32(p, len, seed), BitwiseCrc32(p, len, seed))
+          << "offset " << off << " length " << len << " seed " << seed;
+    }
+  }
 }
 
 // --- Construction death tests ------------------------------------------------
