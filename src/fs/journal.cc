@@ -80,11 +80,11 @@ bool SectorSealed(const uint8_t* sec, uint32_t sector_bytes) {
 // price of a seal is the fixed Charge its callers bill (Commit, Recover and
 // the file system's record writes), so no virtual number depends on how it
 // is computed.
-uint32_t Crc32(const uint8_t* data, size_t len, uint32_t seed) {
+uint32_t Crc32(const uint8_t* data, size_t len) {
   static_assert(std::endian::native == std::endian::little,
                 "the eight-byte step reads its words little-endian");
   const auto& t = kCrcTables;
-  uint32_t crc = ~seed;
+  uint32_t crc = ~0u;
   for (; len >= 8; data += 8, len -= 8) {
     uint32_t lo = RdU32(data) ^ crc;
     uint32_t hi = RdU32(data + 4);

@@ -46,7 +46,7 @@ namespace synthesis {
 
 // CRC-32 (reflected 0xEDB88320), used for every journal sector checksum and
 // the file system's superblock/inode records.
-uint32_t Crc32(const uint8_t* data, size_t len, uint32_t seed = 0);
+uint32_t Crc32(const uint8_t* data, size_t len);
 
 struct JournalConfig {
   uint32_t sectors = 256;       // region size, power of two (>= 32)

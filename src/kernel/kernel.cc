@@ -81,16 +81,34 @@ Kernel::Kernel(Config config)
                                            VmQueue::Kind::kMpsc, config_.synthesis);
 }
 
+bool Kernel::RefuseInstall() {
+  if (faults_.ShouldFire(FaultSite::kCodeInstall)) {
+    installs_refused_++;
+    return true;  // code-store pressure: install refused
+  }
+  return false;
+}
+
 BlockId Kernel::SynthesizeInstall(const CodeTemplate& tmpl, const Bindings& bindings,
                                   const InvariantMemory* invariants,
                                   const std::string& name, SynthesisStats* stats,
                                   const SynthesisOptions* options) {
-  if (faults_.ShouldFire(FaultSite::kCodeInstall)) {
-    installs_refused_++;
-    return kInvalidBlock;  // code-store pressure: install refused
+  if (RefuseInstall()) {
+    return kInvalidBlock;
   }
   return SynthesizeInstallEssential(tmpl, bindings, invariants, name, stats,
                                     options);
+}
+
+BlockId Kernel::SynthesizeInstall(const PreparedTemplate& prepared,
+                                  std::span<const int32_t> values,
+                                  const std::string& name) {
+  if (RefuseInstall()) {
+    return kInvalidBlock;
+  }
+  SynthesisStats st;
+  CodeBlock blk = synth_.Instantiate(prepared, values, &st, name);
+  return ChargeAndInstall(std::move(blk), st, nullptr);
 }
 
 BlockId Kernel::SynthesizeInstallEssential(const CodeTemplate& tmpl,
@@ -102,6 +120,13 @@ BlockId Kernel::SynthesizeInstallEssential(const CodeTemplate& tmpl,
   SynthesisStats st;
   const SynthesisOptions& opts = options ? *options : config_.synthesis;
   CodeBlock blk = synth_.Specialize(tmpl, bindings, invariants, opts, &st, name);
+  return ChargeAndInstall(std::move(blk), st, stats);
+}
+
+// The modelled charge is the same for every install path: a prepared
+// instance bills the instructions Specialize would have read and written.
+BlockId Kernel::ChargeAndInstall(CodeBlock blk, const SynthesisStats& st,
+                                 SynthesisStats* stats) {
   machine_.Charge(kSynthCyclesPerInput * st.input_instructions +
                       kSynthCyclesPerOutput * st.output_instructions,
                   0, st.output_instructions);

@@ -13,6 +13,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -106,6 +107,14 @@ class Kernel {
                             const InvariantMemory* invariants,
                             const std::string& name, SynthesisStats* stats = nullptr,
                             const SynthesisOptions* options = nullptr);
+
+  // Installs one instance of a prepared template (Synthesizer::Prepare) with
+  // values[i] in its opaque slot i: the same code, the same modelled charge
+  // and the same kCodeInstall refusal as SynthesizeInstall of the template
+  // under the prepared bindings, without re-running the optimizer.
+  BlockId SynthesizeInstall(const PreparedTemplate& prepared,
+                            std::span<const int32_t> values,
+                            const std::string& name);
 
   // Same as SynthesizeInstall, but exempt from kCodeInstall fault injection:
   // for code the kernel cannot run without (thread context-switch blocks,
@@ -233,6 +242,11 @@ class Kernel {
     bool step_mode = false;
   };
 
+  // The kCodeInstall fault site every refusable install passes first.
+  bool RefuseInstall();
+  // Charges the code generator's modelled work for `st` and installs `blk`.
+  BlockId ChargeAndInstall(CodeBlock blk, const SynthesisStats& st,
+                           SynthesisStats* stats);
   ThreadRec* Rec(ThreadId tid);
   void SynthesizeSwitchProcedures(ThreadRec& rec, bool with_fp);
   void SynthesizeThreadVectors(ThreadRec& rec);

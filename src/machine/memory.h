@@ -9,16 +9,49 @@
 #define SRC_MACHINE_MEMORY_H_
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <vector>
 
 namespace synthesis {
 
 using Addr = uint32_t;
 
+// Storage for simulated memory: calloc'd, and never value-initialized on top,
+// so the host hands out zero pages on first touch and a large simulated
+// memory costs resident host memory only for the pages the simulation uses.
+// Memory stays a std::vector over it, so the accessors the executor's hot
+// loop inlines compile exactly as before (that loop's host speed moves with
+// small changes to its code; ROADMAP item 6).
+template <typename T>
+struct ZeroPageAllocator {
+  using value_type = T;
+
+  ZeroPageAllocator() = default;
+  template <typename U>
+  ZeroPageAllocator(const ZeroPageAllocator<U>&) {}  // NOLINT(google-explicit-constructor)
+
+  T* allocate(size_t n) {
+    void* p = std::calloc(n, sizeof(T));
+    if (p == nullptr) {
+      throw std::bad_alloc();
+    }
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, size_t) { std::free(p); }
+  // Value-initialization: calloc already zeroed the element.
+  template <typename U>
+  void construct(U*) {}
+
+  friend bool operator==(const ZeroPageAllocator&, const ZeroPageAllocator&) {
+    return true;
+  }
+};
+
 class Memory {
  public:
-  explicit Memory(size_t size_bytes) : bytes_(size_bytes, 0) {}
+  explicit Memory(size_t size_bytes) : bytes_(size_bytes) {}
 
   size_t size() const { return bytes_.size(); }
   bool InRange(Addr addr, size_t len) const {
@@ -54,7 +87,7 @@ class Memory {
   const uint8_t* raw(Addr addr) const { return &bytes_[addr]; }
 
  private:
-  std::vector<uint8_t> bytes_;
+  std::vector<uint8_t, ZeroPageAllocator<uint8_t>> bytes_;
 };
 
 // A half-open address range [begin, end).

@@ -241,27 +241,22 @@ BlockId StreamLayer::GenericProcFor(uint32_t nic_idx) {
   return blk;
 }
 
-// The SYNTHESIZED per-connection segment processor. Reached through the
-// demux's cell for its port with a1 = frame; must set d2 to the (folded)
-// port. Before establishment the peer is unknown, so everything routes to
-// the host's control path; at establishment the processor is re-emitted with
-// the connection-lifetime invariants folded in: the peer port is an immediate
-// compare, every CCB field an absolute address, the checksum inlined, and
-// the ring geometry folded into a bulk copy publishing the head once.
+// The SYNTHESIZED per-connection segment processor's template, one per shape.
+// Reached through the demux's cell for its port with a1 = frame; must set d2
+// to the (folded) port. Before establishment the peer is unknown, so
+// everything routes to the host's control path; at establishment the
+// processor is re-emitted with the connection-lifetime invariants folded in:
+// the peer port is an immediate compare, every CCB field an absolute address,
+// the checksum inlined, and the ring geometry folded into a bulk copy
+// publishing the head once.
 //
-// The kHot tier folds one step deeper: when the payload's destination run is
+// The kHot shape folds one step deeper: when the payload's destination run is
 // contiguous (head + len fits before the ring edge — the common case for a
 // ring much larger than a segment), the copy runs word-wide with no per-byte
 // mask, roughly a quarter of the byte loop's path length; a run that would
 // wrap falls back to the masked byte loop in the same block.
-BlockId StreamLayer::BuildSynthDeliver(const Conn& c, SpecTier tier) {
-  Memory& mem = kernel_.machine().memory();
-  const bool established = c.state == CcbLayout::kEstablished ||
-                           c.state == CcbLayout::kFinSent;
-  const bool hot = tier == SpecTier::kHot && established;
-  const std::string name = "net_stream$" + std::to_string(c.local_port) + "#" +
-                           std::to_string(c.synth_gen);
-  Asm a(name);
+CodeTemplate SegmentProcessorTemplate(ProcShape shape) {
+  Asm a("net_stream");
   // Validation order matches the generic pipeline exactly (demux walk, then
   // handler): max length, checksum, header minimum — so both implementations
   // bump the same reject counter for every malformed frame.
@@ -284,7 +279,7 @@ BlockId StreamLayer::BuildSynthDeliver(const Conn& c, SpecTier tier) {
   a.Rts();
   a.Label("len1");
   a.StoreA32(Asm::Sym("lastf"), kA1);
-  if (!established) {
+  if (shape == ProcShape::kPreEstablish) {
     OrEventA(a, CcbLayout::kEvCtrl);
     a.MoveI(kD0, 1);
     a.Rts();
@@ -370,7 +365,7 @@ BlockId StreamLayer::BuildSynthDeliver(const Conn& c, SpecTier tier) {
     a.Label("room");
     a.Move(kA3, kA1);
     a.AddI(kA3, FrameLayout::kPayload + StreamSeg::kHdrBytes);
-    if (hot) {
+    if (shape == ProcShape::kHot) {
       // Contiguity check: head + len within the ring size means the whole
       // run lands before the edge, so the copy needs no per-byte mask.
       a.Move(kD0, kD3);
@@ -428,40 +423,77 @@ BlockId StreamLayer::BuildSynthDeliver(const Conn& c, SpecTier tier) {
     a.MoveI(kD0, 1);
     a.Rts();
   }
+  return a.Build();
+}
 
-  // Bind against the demux that will actually see this port's frames — the
-  // pool steers by local-port hash, so this is the owning NIC's. (If the pool
-  // later grows and migrates the flow, these blocks and counter words stay
-  // installed and valid; the steering stage is what moves.)
-  DemuxSynthesizer& dmx = pool_.demux_of(c.local_port);
-  Bindings b;
-  b.Set("port", c.local_port);
-  b.Set("csum", static_cast<int32_t>(dmx.csum_block()));
-  b.Set("ctr_mal", static_cast<int32_t>(dmx.ctr_malformed_addr()));
-  b.Set("ctr_csum", static_cast<int32_t>(dmx.ctr_csum_addr()));
-  b.Set("lastf", static_cast<int32_t>(c.ccb + CcbLayout::kLastFrame));
-  b.Set("ev", static_cast<int32_t>(c.ccb + CcbLayout::kEvents));
-  if (established) {
-    b.Set("peer", c.peer_port);
-    b.Set("st", static_cast<int32_t>(c.ccb + CcbLayout::kState));
-    b.Set("una", static_cast<int32_t>(c.ccb + CcbLayout::kSndUna));
-    b.Set("nxt", static_cast<int32_t>(c.ccb + CcbLayout::kSndNxt));
-    b.Set("rnxt", static_cast<int32_t>(c.ccb + CcbLayout::kRcvNxt));
-    b.Set("dup", static_cast<int32_t>(c.ccb + CcbLayout::kDupAcks));
-    b.Set("ooo", static_cast<int32_t>(c.ccb + CcbLayout::kOoo));
-    b.Set("acc", static_cast<int32_t>(c.ccb + CcbLayout::kAccepted));
-    b.Set("head", static_cast<int32_t>(c.ring->base + RingLayout::kHead));
-    b.Set("tail", static_cast<int32_t>(c.ring->base + RingLayout::kTail));
-    b.Set("buf", static_cast<int32_t>(c.ring->base + RingLayout::kBuf));
-    const uint32_t mask = mem.Read32(c.ring->base + RingLayout::kMask);
-    b.Set("mask", static_cast<int32_t>(mask));
-    if (hot) {
-      b.Set("rsz", static_cast<int32_t>(mask + 1));  // ring size
-    }
+const std::vector<std::string>& SegmentProcessorHoles() {
+  static const std::vector<std::string> kHoles = {
+      "port", "lastf", "ev", "peer", "st", "una", "nxt", "rnxt",
+      "dup", "ooo", "acc", "head", "tail", "buf", "mask", "rsz"};
+  return kHoles;
+}
+
+// Each shape is optimized once per NIC: the owning demux's checksum block
+// (inlined by Collapsing Layers) and reject counters are its fixed holes.
+const PreparedTemplate& StreamLayer::PreparedProcFor(uint32_t nic_idx,
+                                                     ProcShape shape) {
+  const auto key = std::make_pair(nic_idx, shape);
+  auto it = proc_prep_.find(key);
+  if (it == proc_prep_.end()) {
+    DemuxSynthesizer& dmx = pool_.nic(nic_idx).demux();
+    Bindings fixed;
+    fixed.Set("csum", static_cast<int32_t>(dmx.csum_block()));
+    fixed.Set("ctr_mal", static_cast<int32_t>(dmx.ctr_malformed_addr()));
+    fixed.Set("ctr_csum", static_cast<int32_t>(dmx.ctr_csum_addr()));
+    SynthesisOptions opts = kernel_.config().synthesis;
+    opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
+    it = proc_prep_
+             .emplace(key, kernel_.synthesizer().Prepare(
+                               SegmentProcessorTemplate(shape), fixed,
+                               SegmentProcessorHoles(), opts))
+             .first;
   }
-  SynthesisOptions opts = kernel_.config().synthesis;
-  opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
-  return kernel_.SynthesizeInstall(a.Build(), b, nullptr, name, nullptr, &opts);
+  return it->second;
+}
+
+// Emits the connection's processor at `tier`: an instance of its shape,
+// prepared for the demux that will actually see this port's frames — the
+// pool steers by local-port hash, so this is the owning NIC's. (If the pool
+// later grows and migrates the flow, these blocks and counter words stay
+// installed and valid; the steering stage is what moves.)
+BlockId StreamLayer::BuildSynthDeliver(const Conn& c, SpecTier tier) {
+  const bool established = c.state == CcbLayout::kEstablished ||
+                           c.state == CcbLayout::kFinSent;
+  const ProcShape shape = !established            ? ProcShape::kPreEstablish
+                          : tier == SpecTier::kHot ? ProcShape::kHot
+                                                   : ProcShape::kEstablished;
+  const Addr ring = c.ring->base;
+  const uint32_t mask =
+      kernel_.machine().memory().Read32(ring + RingLayout::kMask);
+  auto at = [](Addr a) { return static_cast<int32_t>(a); };
+  // In SegmentProcessorHoles() order.
+  const int32_t values[] = {
+      c.local_port,
+      at(c.ccb + CcbLayout::kLastFrame),
+      at(c.ccb + CcbLayout::kEvents),
+      c.peer_port,
+      at(c.ccb + CcbLayout::kState),
+      at(c.ccb + CcbLayout::kSndUna),
+      at(c.ccb + CcbLayout::kSndNxt),
+      at(c.ccb + CcbLayout::kRcvNxt),
+      at(c.ccb + CcbLayout::kDupAcks),
+      at(c.ccb + CcbLayout::kOoo),
+      at(c.ccb + CcbLayout::kAccepted),
+      at(ring + RingLayout::kHead),
+      at(ring + RingLayout::kTail),
+      at(ring + RingLayout::kBuf),
+      at(mask),
+      at(mask + 1),  // ring size
+  };
+  const std::string name = "net_stream$" + std::to_string(c.local_port) + "#" +
+                           std::to_string(c.synth_gen);
+  return kernel_.SynthesizeInstall(
+      PreparedProcFor(pool_.SteerOf(c.local_port), shape), values, name);
 }
 
 // The segment processor's wiring, run by the Specializer's install hook and

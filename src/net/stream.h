@@ -19,7 +19,11 @@
 //    checksum is inlined (Collapsing Layers), and the ring geometry is folded
 //    into a bulk copy that publishes the producer index once (Factoring
 //    Invariants). Sequence/ack processing, duplicate-ack and out-of-order
-//    accounting all run at interrupt level in synthesized code.
+//    accounting all run at interrupt level in synthesized code. The
+//    processor's shapes are each optimized once per NIC (Synthesizer::
+//    Prepare); a connection's processor is a copy of its shape with the
+//    connection's port, peer, CCB and ring values patched in, equal to what
+//    the full optimizer would emit for them.
 //
 // Both processors are rungs of the kernel-wide Specializer's tier ladder
 // (specializer.h): each connection registers a handle whose emit callback
@@ -71,6 +75,8 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/io/gauge.h"
@@ -196,6 +202,15 @@ struct StreamStats {
   uint32_t state = CcbLayout::kClosed;
   uint32_t rcv_nxt = 0;  // survives reclamation (the CCB itself does not)
 };
+
+// The segment processor's three template shapes. Each is optimized once per
+// NIC (Synthesizer::Prepare) and instantiated per connection by copying the
+// prepared code and patching its per-connection holes.
+enum class ProcShape : uint8_t { kPreEstablish, kEstablished, kHot };
+CodeTemplate SegmentProcessorTemplate(ProcShape shape);
+// The per-connection holes of every shape, in instance-value order; the rest
+// ("csum", "ctr_mal", "ctr_csum") belong to the owning NIC's demux.
+const std::vector<std::string>& SegmentProcessorHoles();
 
 class StreamLayer {
  public:
@@ -411,6 +426,7 @@ class StreamLayer {
   ConnId NewConn(uint16_t local_port, uint16_t peer_port, uint32_t state,
                  const StreamConfig& cfg);
   void SetState(Conn& c, uint32_t state);
+  const PreparedTemplate& PreparedProcFor(uint32_t nic_idx, ProcShape shape);
   BlockId BuildSynthDeliver(const Conn& c, SpecTier tier);
   // The segment processor's wiring (its install hook, and once after
   // Register): rebinds the flow to the active block and counts the ladder
@@ -460,6 +476,8 @@ class StreamLayer {
   IoSystem& io_;
   NicPool& pool_;
   std::map<uint32_t, BlockId> proc_gen_;  // generic processor, per NIC index
+  // Prepared segment processors, per (NIC index, shape), made on first use.
+  std::map<std::pair<uint32_t, ProcShape>, PreparedTemplate> proc_prep_;
   int timer_vec_ = 0;
   int probe_vec_ = 0;
   // Shared staging area for synthesized probe sends (header + 1 zero data

@@ -1,5 +1,6 @@
 #include "src/synth/synthesizer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -165,7 +166,9 @@ bool IsTerminator(Opcode op) {
 
 // Deletes instructions where keep[i] is false, remapping branch targets.
 // A branch to a deleted instruction is redirected to the next kept one.
-size_t DeleteInstrs(std::vector<Instr>& code, const std::vector<bool>& keep) {
+// `slots` (Prepare's per-instruction opaque slots) loses the same entries.
+size_t DeleteInstrs(std::vector<Instr>& code, const std::vector<bool>& keep,
+                    std::vector<int32_t>* slots) {
   size_t n = code.size();
   std::vector<int32_t> new_index(n + 1, 0);
   int32_t next = 0;
@@ -198,6 +201,15 @@ size_t DeleteInstrs(std::vector<Instr>& code, const std::vector<bool>& keep) {
     out.push_back(in);
   }
   code = std::move(out);
+  if (slots != nullptr) {
+    size_t kept = 0;
+    for (size_t i = 0; i < n; i++) {
+      if (keep[i]) {
+        (*slots)[kept++] = (*slots)[i];
+      }
+    }
+    slots->resize(kept);
+  }
   return removed;
 }
 
@@ -206,15 +218,70 @@ size_t DeleteInstrs(std::vector<Instr>& code, const std::vector<bool>& keep) {
 struct AbsState {
   std::optional<uint32_t> regs[kNumRegisters];
   std::optional<std::pair<uint32_t, uint32_t>> cc;
+  // Prepare only: registers (and the condition codes) whose value derives
+  // from an opaque hole — unknown here, a constant in every instance.
+  uint32_t opaque = 0;
+  bool cc_opaque = false;
 
   void Reset() {
     for (auto& r : regs) {
       r.reset();
     }
     cc.reset();
+    opaque = 0;
+    cc_opaque = false;
   }
   void ClobberAll() { Reset(); }
+
+  void Set(uint8_t r, uint32_t v) {
+    regs[r] = v;
+    opaque &= ~RegBit(r);
+  }
+  void Forget(uint8_t r) {
+    regs[r].reset();
+    opaque &= ~RegBit(r);
+  }
+  void MarkOpaque(uint8_t r) {
+    regs[r].reset();
+    opaque |= RegBit(r);
+  }
+  bool Opaque(uint8_t r) const { return (opaque & RegBit(r)) != 0; }
+  // Known here or opaque: a constant in every instance's Specialize.
+  bool Fixed(uint8_t r) const { return regs[r].has_value() || Opaque(r); }
+
+  void SetCc(uint32_t lhs, uint32_t rhs) {
+    cc = std::make_pair(lhs, rhs);
+    cc_opaque = false;
+  }
+  void ForgetCc() {
+    cc.reset();
+    cc_opaque = false;
+  }
+  void MarkCcOpaque() {
+    cc.reset();
+    cc_opaque = true;
+  }
 };
+
+// The immediate that makes a peephole rule fire on `op` (an identity
+// operation, or kLea's "no displacement"), or none for ops without one.
+std::optional<int32_t> IdentityImm(Opcode op) {
+  switch (op) {
+    case Opcode::kAddI:
+    case Opcode::kSubI:
+    case Opcode::kOrI:
+    case Opcode::kLslI:
+    case Opcode::kLsrI:
+    case Opcode::kLea:
+      return 0;
+    case Opcode::kMulI:
+      return 1;
+    case Opcode::kAndI:
+      return -1;
+    default:
+      return std::nullopt;
+  }
+}
 
 std::optional<bool> EvalCond(Opcode op, uint32_t lhs, uint32_t rhs) {
   int32_t sl = static_cast<int32_t>(lhs);
@@ -243,6 +310,20 @@ std::optional<bool> EvalCond(Opcode op, uint32_t lhs, uint32_t rhs) {
 
 }  // namespace
 
+struct Synthesizer::Opaque {
+  std::vector<int32_t> slot;  // per instruction: its imm's opaque slot, or -1
+  std::vector<PreparedTemplate::Guard> guards;
+};
+
+bool PreparedTemplate::Trips(std::span<const int32_t> values) const {
+  for (const Guard& g : guards_) {
+    if (values[g.slot] == g.value) {
+      return true;
+    }
+  }
+  return false;
+}
+
 CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bindings,
                                   const InvariantMemory* invariants,
                                   const SynthesisOptions& options, SynthesisStats* stats,
@@ -265,7 +346,93 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
     out.code[use.index].imm = bindings.Get(use.name);
   }
 
-  auto& code = out.code;
+  Optimize(out.code, invariants, options, st, nullptr);
+  st.output_instructions = out.code.size();
+  return out;
+}
+
+PreparedTemplate Synthesizer::Prepare(CodeTemplate tmpl, const Bindings& fixed,
+                                      const std::vector<std::string>& opaque,
+                                      const SynthesisOptions& options) const {
+  PreparedTemplate p;
+  p.fixed_ = fixed;
+  p.opaque_ = opaque;
+  p.options_ = options;
+  std::vector<Instr> code = tmpl.block.code;
+  Opaque opq;
+  opq.slot.assign(code.size(), -1);
+  for (const SymUse& use : tmpl.holes) {
+    Instr& in = code[use.index];
+    auto it = std::find(opaque.begin(), opaque.end(), use.name);
+    if (it == opaque.end()) {
+      if (!fixed.Has(use.name)) {
+        std::fprintf(stderr, "Synthesizer: template '%s' hole '%s' neither fixed nor opaque\n",
+                     tmpl.block.name.c_str(), use.name.c_str());
+        std::abort();
+      }
+      in.imm = fixed.Get(use.name);
+      continue;
+    }
+    opq.slot[use.index] = static_cast<int32_t>(it - opaque.begin());
+    in.imm = 0;  // patched per instance
+    // Read by inlining or liveness before any fold runs.
+    if (in.op == Opcode::kJsr || in.op == Opcode::kMovemSave ||
+        in.op == Opcode::kMovemLoad) {
+      p.declined_ = true;
+    }
+  }
+  p.tmpl_ = std::move(tmpl);
+  if (p.declined_) {
+    return p;
+  }
+  p.stats_.input_instructions = code.size();
+  if (!Optimize(code, nullptr, options, p.stats_, &opq)) {
+    p.declined_ = true;
+    return p;
+  }
+  p.stats_.output_instructions = code.size();
+  for (size_t i = 0; i < code.size(); i++) {
+    if (opq.slot[i] >= 0) {
+      p.patches_.push_back(PreparedTemplate::Patch{
+          static_cast<uint32_t>(i), static_cast<uint32_t>(opq.slot[i])});
+    }
+  }
+  p.code_ = std::move(code);
+  p.guards_ = std::move(opq.guards);
+  return p;
+}
+
+CodeBlock Synthesizer::Instantiate(const PreparedTemplate& p,
+                                   std::span<const int32_t> values,
+                                   SynthesisStats* stats,
+                                   const std::string& output_name) const {
+  if (values.size() != p.opaque_.size()) {
+    std::fprintf(stderr, "Synthesizer: template '%s' has %zu opaque holes, got %zu values\n",
+                 p.tmpl_.block.name.c_str(), p.opaque_.size(), values.size());
+    std::abort();
+  }
+  if (p.declined_ || p.Trips(values)) {
+    Bindings bindings = p.fixed_;
+    for (size_t i = 0; i < values.size(); i++) {
+      bindings.Set(p.opaque_[i], values[i]);
+    }
+    return Specialize(p.tmpl_, bindings, nullptr, p.options_, stats, output_name);
+  }
+  CodeBlock out{output_name.empty() ? p.tmpl_.block.name + "$synth" : output_name,
+                p.code_};
+  for (const PreparedTemplate::Patch& patch : p.patches_) {
+    out.code[patch.index].imm = values[patch.slot];
+  }
+  if (stats) {
+    *stats = p.stats_;
+  }
+  return out;
+}
+
+bool Synthesizer::Optimize(std::vector<Instr>& code, const InvariantMemory* invariants,
+                           const SynthesisOptions& options, SynthesisStats& st,
+                           Opaque* opaque) const {
+  std::vector<int32_t>* slots = opaque ? &opaque->slot : nullptr;
   int inline_rounds = 0;
 
   for (int pass = 0; pass < options.max_passes; pass++) {
@@ -302,6 +469,10 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
         }
         code.erase(code.begin() + static_cast<ptrdiff_t>(i));
         code.insert(code.begin() + static_cast<ptrdiff_t>(i), body.begin(), body.end());
+        if (slots != nullptr) {  // the call had no opaque slot; the body has none
+          slots->insert(slots->begin() + static_cast<ptrdiff_t>(i),
+                        static_cast<size_t>(body_len) - 1, -1);
+        }
         st.inlined_calls++;
         inlined_any = true;
         changed = true;
@@ -313,6 +484,10 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
     }
 
     // --- Constant propagation, invariant-load folding, branch folding ---------
+    // Under Prepare, each rewrite first checks its operands: one that is
+    // opaque while the rest are known (or opaque) would fold in every
+    // instance, so Prepare declines rather than guess. Asm puts holes only
+    // in operand immediates, so no rewrite ever overwrites an opaque one.
     if (options.constant_fold) {
       std::set<int32_t> targets;
       for (const Instr& in : code) {
@@ -326,6 +501,7 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
           s.Reset();  // conservative merge at join points
         }
         Instr& in = code[i];
+        const bool imm_opaque = slots != nullptr && (*slots)[i] >= 0;
         auto known = [&](uint8_t r) { return s.regs[r]; };
         auto fold_to_movei = [&](uint8_t rd, uint32_t value) {
           if (in.op != Opcode::kMoveI || in.imm != static_cast<int32_t>(value)) {
@@ -335,24 +511,34 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
           in.rd = rd;
           in.rs = 0;
           in.imm = static_cast<int32_t>(value);
-          s.regs[rd] = value;
+          s.Set(rd, value);
         };
         switch (in.op) {
           case Opcode::kMoveI:
-            s.regs[in.rd] = static_cast<uint32_t>(in.imm);
+            if (imm_opaque) {
+              s.MarkOpaque(in.rd);
+            } else {
+              s.Set(in.rd, static_cast<uint32_t>(in.imm));
+            }
             break;
           case Opcode::kMove:
+            if (s.Opaque(in.rs)) {
+              return false;
+            }
             if (auto v = known(in.rs)) {
               fold_to_movei(in.rd, *v);
             } else {
-              s.regs[in.rd].reset();
+              s.Forget(in.rd);
             }
             break;
           case Opcode::kLea:
+            if (s.Opaque(in.rs) || (imm_opaque && known(in.rs))) {
+              return false;
+            }
             if (auto v = known(in.rs)) {
               fold_to_movei(in.rd, *v + static_cast<uint32_t>(in.imm));
             } else {
-              s.regs[in.rd].reset();
+              s.Forget(in.rd);
             }
             break;
           case Opcode::kLoad8:
@@ -360,6 +546,9 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
           case Opcode::kLoad32: {
             size_t len = in.op == Opcode::kLoad8 ? 1 : in.op == Opcode::kLoad16 ? 2 : 4;
             auto base = known(in.rs);
+            if (s.Opaque(in.rs) || (imm_opaque && base)) {
+              return false;
+            }
             if (base && options.fold_invariant_loads && invariants &&
                 invariants->Covers(*base + static_cast<uint32_t>(in.imm), len)) {
               uint32_t v = invariants->Read(*base + static_cast<uint32_t>(in.imm), len);
@@ -373,10 +562,10 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
                                                  : Opcode::kLoadA32;
               in.imm = static_cast<int32_t>(*base + static_cast<uint32_t>(in.imm));
               in.rs = 0;
-              s.regs[in.rd].reset();
+              s.Forget(in.rd);
               changed = true;
             } else {
-              s.regs[in.rd].reset();
+              s.Forget(in.rd);
             }
             break;
           }
@@ -390,11 +579,14 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
               fold_to_movei(in.rd, invariants->Read(addr, len));
               st.folded_loads++;
             } else {
-              s.regs[in.rd].reset();
+              s.Forget(in.rd);
             }
             break;
           }
           case Opcode::kLoadIdx32:
+            if (s.Opaque(in.rs) || (imm_opaque && known(in.rs))) {
+              return false;
+            }
             if (auto idx = known(in.rs)) {
               in.op = Opcode::kLoadA32;
               in.imm = static_cast<int32_t>(static_cast<uint32_t>(in.imm) + *idx * 4);
@@ -402,11 +594,14 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
               changed = true;
               // Re-processed as kLoadA32 next pass (may fold to an immediate).
             }
-            s.regs[in.rd].reset();
+            s.Forget(in.rd);
             break;
           case Opcode::kStore8:
           case Opcode::kStore16:
           case Opcode::kStore32:
+            if (s.Opaque(in.rd) || (imm_opaque && known(in.rd))) {
+              return false;
+            }
             if (auto base = known(in.rd); base && options.constant_fold) {
               in.op = in.op == Opcode::kStore8    ? Opcode::kStoreA8
                       : in.op == Opcode::kStore16 ? Opcode::kStoreA16
@@ -417,6 +612,9 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
             }
             break;
           case Opcode::kStoreIdx32:
+            if (s.Opaque(in.rs) || (imm_opaque && known(in.rs))) {
+              return false;
+            }
             if (auto idx = known(in.rs)) {
               in.op = Opcode::kStoreA32;
               in.imm = static_cast<int32_t>(static_cast<uint32_t>(in.imm) + *idx * 4);
@@ -435,19 +633,26 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
           case Opcode::kNop:
             break;
           case Opcode::kPush:
-            s.regs[kA7] = known(kA7) ? std::optional<uint32_t>(*known(kA7) - 4)
-                                     : std::nullopt;
+            // An unknown stack pointer stays unknown, an opaque one opaque.
+            if (auto sp = known(kA7)) {
+              s.Set(kA7, *sp - 4);
+            }
             break;
           case Opcode::kPop:
-            s.regs[in.rd].reset();
-            s.regs[kA7] = known(kA7) ? std::optional<uint32_t>(*known(kA7) + 4)
-                                     : std::nullopt;
+            s.Forget(in.rd);
+            if (auto sp = known(kA7)) {
+              s.Set(kA7, *sp + 4);
+            }
             break;
           case Opcode::kAdd:
           case Opcode::kSub:
           case Opcode::kAnd:
           case Opcode::kOr:
           case Opcode::kXor: {
+            if (s.Fixed(in.rd) && s.Fixed(in.rs) &&
+                (s.Opaque(in.rd) || s.Opaque(in.rs))) {
+              return false;
+            }
             auto a = known(in.rd);
             auto b = known(in.rs);
             if (a && b) {
@@ -458,7 +663,7 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
                                                    : (*a ^ *b);
               fold_to_movei(in.rd, v);
             } else {
-              s.regs[in.rd].reset();
+              s.Forget(in.rd);
             }
             break;
           }
@@ -470,6 +675,9 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
           case Opcode::kLslI:
           case Opcode::kLsrI: {
             auto a = known(in.rd);
+            if (s.Opaque(in.rd) || (imm_opaque && a)) {
+              return false;
+            }
             uint32_t immu = static_cast<uint32_t>(in.imm);
             if (a) {
               uint32_t v = in.op == Opcode::kAddI   ? *a + immu
@@ -481,29 +689,36 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
                                                     : (*a >> (in.imm & 31));
               fold_to_movei(in.rd, v);
             } else {
-              s.regs[in.rd].reset();
+              s.Forget(in.rd);
             }
             break;
           }
           case Opcode::kCmp:
-            if (known(in.rd) && known(in.rs)) {
-              s.cc = std::make_pair(*known(in.rd), *known(in.rs));
+            if (s.Fixed(in.rd) && s.Fixed(in.rs) &&
+                (s.Opaque(in.rd) || s.Opaque(in.rs))) {
+              s.MarkCcOpaque();
+            } else if (known(in.rd) && known(in.rs)) {
+              s.SetCc(*known(in.rd), *known(in.rs));
             } else {
-              s.cc.reset();
+              s.ForgetCc();
             }
             break;
           case Opcode::kCmpI:
-            if (known(in.rd)) {
-              s.cc = std::make_pair(*known(in.rd), static_cast<uint32_t>(in.imm));
+            if (s.Opaque(in.rd) || (imm_opaque && known(in.rd))) {
+              s.MarkCcOpaque();
+            } else if (known(in.rd)) {
+              s.SetCc(*known(in.rd), static_cast<uint32_t>(in.imm));
             } else {
-              s.cc.reset();
+              s.ForgetCc();
             }
             break;
           case Opcode::kTst:
-            if (known(in.rd)) {
-              s.cc = std::make_pair(*known(in.rd), 0u);
+            if (s.Opaque(in.rd)) {
+              s.MarkCcOpaque();
+            } else if (known(in.rd)) {
+              s.SetCc(*known(in.rd), 0u);
             } else {
-              s.cc.reset();
+              s.ForgetCc();
             }
             break;
           case Opcode::kBeq:
@@ -514,6 +729,9 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
           case Opcode::kBle:
           case Opcode::kBhi:
           case Opcode::kBls:
+            if (options.fold_branches && s.cc_opaque) {
+              return false;
+            }
             if (options.fold_branches && s.cc) {
               auto taken = EvalCond(in.op, s.cc->first, s.cc->second);
               if (taken.has_value()) {
@@ -534,6 +752,9 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
             s.Reset();
             break;
           case Opcode::kJsrInd:
+            if (s.Opaque(in.rs)) {
+              return false;
+            }
             // Only rewrite when the target is a real block; patch slots hold
             // placeholder values that must survive synthesis.
             if (auto v = known(in.rs);
@@ -555,23 +776,26 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
             s.Reset();
             break;
           case Opcode::kCas:
+            if (s.Opaque(in.rs) || (imm_opaque && known(in.rs))) {
+              return false;
+            }
             if (auto base = known(in.rs); base && options.constant_fold) {
               in.op = Opcode::kCasA;
               in.imm = static_cast<int32_t>(*base + static_cast<uint32_t>(in.imm));
               in.rs = 0;
               changed = true;
             }
-            s.regs[kD0].reset();
-            s.cc.reset();
+            s.Forget(kD0);
+            s.ForgetCc();
             break;
           case Opcode::kCasA:
-            s.regs[kD0].reset();
-            s.cc.reset();
+            s.Forget(kD0);
+            s.ForgetCc();
             break;
           case Opcode::kMovemLoad: {
             int count = in.imm > 16 ? 16 : in.imm;
             for (int r = 0; r < count; r++) {
-              s.regs[r].reset();
+              s.Forget(static_cast<uint8_t>(r));
             }
             break;
           }
@@ -608,7 +832,7 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
         }
       }
       if (any_dead) {
-        st.removed_instructions += DeleteInstrs(code, reachable);
+        st.removed_instructions += DeleteInstrs(code, reachable, slots);
         changed = true;
       }
     }
@@ -677,7 +901,7 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
         }
       }
       if (any) {
-        st.removed_instructions += DeleteInstrs(code, keep);
+        st.removed_instructions += DeleteInstrs(code, keep, slots);
         changed = true;
       }
     }
@@ -689,18 +913,20 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
         bool to_nop = false;
         if (in.op == Opcode::kMove && in.rd == in.rs) {
           to_nop = true;
-        } else if ((in.op == Opcode::kAddI || in.op == Opcode::kSubI ||
-                    in.op == Opcode::kOrI || in.op == Opcode::kLslI ||
-                    in.op == Opcode::kLsrI) &&
-                   in.imm == 0) {
-          to_nop = true;
-        } else if (in.op == Opcode::kMulI && in.imm == 1) {
-          to_nop = true;
-        } else if (in.op == Opcode::kAndI && in.imm == -1) {
-          to_nop = true;
-        } else if (in.op == Opcode::kLea && in.imm == 0) {
-          in.op = Opcode::kMove;
-          changed = true;
+        } else if (auto identity = IdentityImm(in.op)) {
+          if (slots != nullptr && (*slots)[i] >= 0) {
+            // An opaque immediate: the rule stays off, guarded.
+            PreparedTemplate::Guard g{static_cast<uint32_t>((*slots)[i]), *identity};
+            if (std::find(opaque->guards.begin(), opaque->guards.end(), g) ==
+                opaque->guards.end()) {
+              opaque->guards.push_back(g);
+            }
+          } else if (in.imm == *identity && in.op == Opcode::kLea) {
+            in.op = Opcode::kMove;
+            changed = true;
+          } else if (in.imm == *identity) {
+            to_nop = true;
+          }
         } else if (IsBranch(in.op)) {
           // Thread branch chains: a branch to an unconditional kBra follows it.
           int hops = 0;
@@ -729,7 +955,7 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
         }
       }
       if (any) {
-        st.removed_instructions += DeleteInstrs(code, keep);
+        st.removed_instructions += DeleteInstrs(code, keep, slots);
         changed = true;
       }
     }
@@ -738,9 +964,7 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
       break;
     }
   }
-
-  st.output_instructions = code.size();
-  return out;
+  return true;
 }
 
 }  // namespace synthesis

@@ -15,11 +15,39 @@
 //
 // The output is a shorter concrete program; the speedups measured by the
 // benchmarks are the path-length difference between template and output.
+//
+// Copy-and-patch: a template emitted many times with only a few immediates
+// changing (one segment processor per stream connection) is optimized once
+// by Prepare and then stamped out by Instantiate, which copies the prepared
+// code and patches each remaining hole's output slots. Prepare binds the
+// holes it is given and leaves the rest *opaque*: values it does not know
+// but every instance will. It runs the very passes Specialize runs, so an
+// instance is not an approximation — Instantiate(prepared, values) equals
+// Specialize(template, fixed + values) instruction for instruction and
+// reports the same SynthesisStats — under this exactness rule:
+//
+//  * Prepare declines (every instance then takes the full Specialize path)
+//    when a pass would have to read an opaque value: an opaque kJsr target
+//    or kMovem* count, or a fold, branch fold, absolute-ification or kJsrInd
+//    rewrite whose operands are all known-or-opaque with at least one
+//    opaque. A register is opaque while its value derives from an opaque
+//    immediate (an opaque kMoveI, then kPush/kPop arithmetic on a7).
+//  * A peephole rule that tests an opaque immediate for its identity value
+//    (0 for kAddI/kSubI/kOrI/kLslI/kLsrI/kLea, 1 for kMulI, -1 for kAndI) is
+//    not applied; it becomes a guard, and an instance whose value equals it
+//    is specialized the full way.
+//  * An opaque instruction that dead-code elimination or unreachable-code
+//    removal deletes takes its slot with it.
+//
+// Prepare takes no InvariantMemory. Blocks named by fixed holes (an inlined
+// callee) are read once, at Prepare, so they must not change while the
+// prepared template is in use.
 #ifndef SRC_SYNTH_SYNTHESIZER_H_
 #define SRC_SYNTH_SYNTHESIZER_H_
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -118,6 +146,46 @@ struct SynthesisStats {
   size_t removed_instructions = 0;  // unreachable + dead + peephole
 };
 
+// A template optimized once for many instances (Synthesizer::Prepare).
+class PreparedTemplate {
+ public:
+  // An identity value an opaque hole must not take for the prepared code to
+  // hold (see the exactness rule above).
+  struct Guard {
+    uint32_t slot;
+    int32_t value;
+    friend bool operator==(const Guard&, const Guard&) = default;
+  };
+
+  // True when Prepare declined: every instance takes the full Specialize path.
+  bool declined() const { return declined_; }
+  const std::vector<Guard>& guards() const { return guards_; }
+  // True when `values` (one per opaque slot) trips a guard, so that instance
+  // is specialized the full way.
+  bool Trips(std::span<const int32_t> values) const;
+
+ private:
+  friend class Synthesizer;
+  // Where an opaque hole sits: an instruction index and the hole's slot.
+  struct Patch {
+    uint32_t index;
+    uint32_t slot;
+  };
+
+  // The full path's input: Specialize(tmpl_, fixed_ plus opaque_[i] bound
+  // to values[i], no invariants, options_).
+  CodeTemplate tmpl_;
+  Bindings fixed_;
+  std::vector<std::string> opaque_;
+  SynthesisOptions options_;
+  bool declined_ = false;
+  // The prepared output, and where each opaque hole sits in it.
+  std::vector<Instr> code_;
+  std::vector<Patch> patches_;
+  std::vector<Guard> guards_;
+  SynthesisStats stats_;
+};
+
 class Synthesizer {
  public:
   explicit Synthesizer(const CodeStore& store) : store_(&store) {}
@@ -129,7 +197,32 @@ class Synthesizer {
                        const SynthesisOptions& options, SynthesisStats* stats = nullptr,
                        const std::string& output_name = "") const;
 
+  // Optimizes `tmpl` once with the holes in `fixed` bound and the holes named
+  // in `opaque` left opaque; slot i of every instance is `opaque[i]`. Every
+  // hole must be in one of the two; a hole named in both is opaque.
+  PreparedTemplate Prepare(CodeTemplate tmpl, const Bindings& fixed,
+                           const std::vector<std::string>& opaque,
+                           const SynthesisOptions& options) const;
+
+  // One instance of `prepared`, with values[i] bound to opaque slot i: equal
+  // to Specialize(template, fixed + values, no invariants, the prepared
+  // options), stats included. A declined template or a tripped guard runs
+  // that specialization in full.
+  CodeBlock Instantiate(const PreparedTemplate& prepared,
+                        std::span<const int32_t> values,
+                        SynthesisStats* stats = nullptr,
+                        const std::string& output_name = "") const;
+
  private:
+  struct Opaque;  // Prepare's opaque-hole tracking (synthesizer.cc)
+
+  // The optimizer behind both Specialize and Prepare: runs the pass pipeline
+  // over `code` in place. With `opaque` set it carries the opaque slots
+  // through every pass, and returns false as soon as a pass would read one.
+  bool Optimize(std::vector<Instr>& code, const InvariantMemory* invariants,
+                const SynthesisOptions& options, SynthesisStats& st,
+                Opaque* opaque) const;
+
   const CodeStore* store_;
 };
 

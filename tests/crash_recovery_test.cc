@@ -358,10 +358,10 @@ TEST(FsyncDurabilityAudit, JournalLessFsyncStillLandsBytes) {
 // --- CRC-32 conformance ------------------------------------------------------
 
 // The oracle: the bitwise CRC-32 the table-driven one replaced, one shift-xor
-// step per bit with the same reflected polynomial and the same ~seed/~crc
-// chaining.
-uint32_t BitwiseCrc32(const uint8_t* data, size_t len, uint32_t seed = 0) {
-  uint32_t crc = ~seed;
+// step per bit with the same reflected polynomial and the same initial and
+// final inversion.
+uint32_t BitwiseCrc32(const uint8_t* data, size_t len) {
+  uint32_t crc = ~0u;
   for (size_t i = 0; i < len; i++) {
     crc ^= data[i];
     for (int b = 0; b < 8; b++) {
@@ -377,27 +377,11 @@ TEST(Crc32Test, CheckValueAndEmptyBuffer) {
             0xCBF43926u);
   const uint8_t none[1] = {0};
   EXPECT_EQ(Crc32(none, 0), 0u);
-  EXPECT_EQ(Crc32(none, 0, 0x1234'5678u), 0x1234'5678u)
-      << "an empty buffer leaves a chained CRC unchanged";
-}
-
-TEST(Crc32Test, ChainingEqualsOneCallOverTheConcatenation) {
-  std::mt19937 rng(5);
-  std::vector<uint8_t> buf(300);
-  for (uint8_t& b : buf) {
-    b = static_cast<uint8_t>(rng());
-  }
-  const uint32_t whole = Crc32(buf.data(), buf.size());
-  for (size_t split = 0; split <= buf.size(); split++) {
-    const uint32_t a = Crc32(buf.data(), split);
-    ASSERT_EQ(Crc32(buf.data() + split, buf.size() - split, a), whole)
-        << "split at " << split;
-  }
 }
 
 // Every length 0-1100 (past a 1 KB payload, so every tail length meets every
 // count of eight-byte steps) at every start offset 0-7 (every alignment of
-// the word loads), unchained and chained onto a random seed.
+// the word loads).
 TEST(Crc32Test, AgreesWithTheBitwiseLoopAtEveryLengthAndOffset) {
   constexpr size_t kMaxLen = 1100;
   std::mt19937 rng(19);
@@ -408,11 +392,8 @@ TEST(Crc32Test, AgreesWithTheBitwiseLoopAtEveryLengthAndOffset) {
     }
     const uint8_t* p = buf.data() + off;
     for (size_t len = 0; len <= kMaxLen; len++) {
-      const uint32_t seed = static_cast<uint32_t>(rng());
       ASSERT_EQ(Crc32(p, len), BitwiseCrc32(p, len))
           << "offset " << off << " length " << len;
-      ASSERT_EQ(Crc32(p, len, seed), BitwiseCrc32(p, len, seed))
-          << "offset " << off << " length " << len << " seed " << seed;
     }
   }
 }

@@ -1,6 +1,9 @@
 // Unit tests for the Quamachine simulator: assembler, executor semantics,
 // cost accounting, memory protection, and the execution trace.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
 
 #include "src/machine/assembler.h"
 #include "src/machine/code_store.h"
@@ -604,6 +607,40 @@ TEST_F(MachineTest, FallOffEndActsAsReturn) {
   RunResult r = exec_.Call(top);
   EXPECT_EQ(r.outcome, RunOutcome::kReturned);
   EXPECT_EQ(m_.reg(kD0), 4u);
+}
+
+// Resident pages of this process: the second field of /proc/self/statm.
+long ResidentPages() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) {
+    return -1;
+  }
+  long size = 0;
+  long resident = -1;
+  if (std::fscanf(f, "%ld %ld", &size, &resident) != 2) {
+    resident = -1;
+  }
+  std::fclose(f);
+  return resident;
+}
+
+// A large simulated memory reads as zero everywhere, yet only the pages the
+// simulation touches become resident on the host.
+TEST(MemoryTest, LargeMemoryReadsZeroWithoutBecomingResident) {
+  constexpr size_t kBytes = 64u << 20;
+  const long page = sysconf(_SC_PAGESIZE);
+  const long before = ResidentPages();
+  ASSERT_GT(before, 0);
+  Memory mem(kBytes);
+  const long grown = ResidentPages() - before;
+  EXPECT_LT(grown * page, static_cast<long>(kBytes / 4))
+      << "constructing the memory made " << grown << " pages resident";
+  EXPECT_EQ(mem.Read8(0), 0);
+  EXPECT_EQ(mem.Read8(static_cast<Addr>(kBytes - 1)), 0);
+  EXPECT_EQ(mem.Read32(static_cast<Addr>(kBytes - 4)), 0u);
+  for (size_t a = 4093; a < kBytes; a += 1'048'573) {
+    ASSERT_EQ(mem.Read8(static_cast<Addr>(a)), 0) << "byte " << a;
+  }
 }
 
 }  // namespace

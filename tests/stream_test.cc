@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -580,6 +581,155 @@ TEST_F(StreamProcParityTest, BothProcessorsProduceIdenticalObservableState) {
   // The folded processor must beat the interpreted one across the whole mix.
   EXPECT_LT(instr_sum[1], instr_sum[0])
       << "synthesized segment path must run fewer instructions";
+}
+
+// --- Prepared segment processors ---------------------------------------------
+
+// The processor's live-out registers on top of the kernel's options: the
+// demux reads d0 (verdict), d1 and d2 (the matched port) after the call.
+SynthesisOptions ProcessorOptions(const Kernel& k) {
+  SynthesisOptions opts = k.config().synthesis;
+  opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
+  return opts;
+}
+
+// The owning demux's fixed holes.
+Bindings DemuxHoles(const DemuxSynthesizer& dmx) {
+  Bindings b;
+  b.Set("csum", static_cast<int32_t>(dmx.csum_block()));
+  b.Set("ctr_mal", static_cast<int32_t>(dmx.ctr_malformed_addr()));
+  b.Set("ctr_csum", static_cast<int32_t>(dmx.ctr_csum_addr()));
+  return b;
+}
+
+// Every binding a connection's processor is specialized under, read back
+// from the connection itself: its port, its CCB fields, its ring.
+Bindings ConnectionHoles(Kernel& k, StreamLayer& st, NicPool& pool, ConnId c) {
+  Memory& mem = k.machine().memory();
+  const Addr ccb = st.CcbOf(c);
+  const Addr ring = st.RingOf(c)->base;
+  const uint32_t mask = mem.Read32(ring + RingLayout::kMask);
+  Bindings b = DemuxHoles(pool.demux_of(st.PortOf(c)));
+  auto set = [&b](const char* name, uint32_t v) {
+    b.Set(name, static_cast<int32_t>(v));
+  };
+  set("port", st.PortOf(c));
+  set("peer", mem.Read32(ccb + CcbLayout::kPeer));
+  set("lastf", ccb + CcbLayout::kLastFrame);
+  set("ev", ccb + CcbLayout::kEvents);
+  set("st", ccb + CcbLayout::kState);
+  set("una", ccb + CcbLayout::kSndUna);
+  set("nxt", ccb + CcbLayout::kSndNxt);
+  set("rnxt", ccb + CcbLayout::kRcvNxt);
+  set("dup", ccb + CcbLayout::kDupAcks);
+  set("ooo", ccb + CcbLayout::kOoo);
+  set("acc", ccb + CcbLayout::kAccepted);
+  set("head", ring + RingLayout::kHead);
+  set("tail", ring + RingLayout::kTail);
+  set("buf", ring + RingLayout::kBuf);
+  set("mask", mask);
+  set("rsz", mask + 1);
+  return b;
+}
+
+// Each shape prepares without declining, and the only guards are the two the
+// processor can never trip (a ring mask of all ones, a ring buffer at 0).
+// Instances under random values, guard values included, equal Specialize.
+TEST(StreamProcessorPrepareTest, EveryShapePreparesAndInstancesEqualSpecialize) {
+  Kernel k;
+  IoSystem io(k, nullptr);
+  NicPoolConfig pc;
+  pc.initial_nics = 1;
+  NicPool pool(k, pc);
+  const SynthesisOptions opts = ProcessorOptions(k);
+  const Bindings fixed = DemuxHoles(pool.nic(0).demux());
+  const std::vector<std::string>& holes = SegmentProcessorHoles();
+  auto slot_of = [&holes](const char* name) {
+    return static_cast<uint32_t>(std::find(holes.begin(), holes.end(), name) -
+                                 holes.begin());
+  };
+  std::mt19937 rng(21);
+  for (ProcShape shape : {ProcShape::kPreEstablish, ProcShape::kEstablished,
+                          ProcShape::kHot}) {
+    const CodeTemplate tmpl = SegmentProcessorTemplate(shape);
+    PreparedTemplate prep = k.synthesizer().Prepare(tmpl, fixed, holes, opts);
+    ASSERT_FALSE(prep.declined()) << "shape " << static_cast<int>(shape);
+    std::vector<PreparedTemplate::Guard> guards = prep.guards();
+    std::vector<PreparedTemplate::Guard> want;
+    if (shape != ProcShape::kPreEstablish) {
+      want = {{slot_of("mask"), -1}, {slot_of("buf"), 0}};
+    }
+    auto by_slot = [](const PreparedTemplate::Guard& a,
+                      const PreparedTemplate::Guard& b) { return a.slot < b.slot; };
+    std::sort(guards.begin(), guards.end(), by_slot);
+    std::sort(want.begin(), want.end(), by_slot);
+    EXPECT_EQ(guards, want) << "shape " << static_cast<int>(shape);
+
+    for (int inst = 0; inst < 200; inst++) {
+      std::vector<int32_t> values;
+      Bindings all = fixed;
+      for (const std::string& h : holes) {
+        const uint32_t pick = rng() % 8;
+        values.push_back(pick == 0 ? 0 : pick == 1 ? -1 : static_cast<int32_t>(rng()));
+        all.Set(h, values.back());
+      }
+      SynthesisStats want_st, got_st;
+      CodeBlock spec = k.synthesizer().Specialize(tmpl, all, nullptr, opts, &want_st);
+      CodeBlock got = k.synthesizer().Instantiate(prep, values, &got_st);
+      ASSERT_EQ(got.code, spec.code) << "shape " << static_cast<int>(shape);
+      ASSERT_EQ(got_st.input_instructions, want_st.input_instructions);
+      ASSERT_EQ(got_st.output_instructions, want_st.output_instructions);
+      ASSERT_EQ(got_st.inlined_calls, want_st.inlined_calls);
+      ASSERT_EQ(got_st.removed_instructions, want_st.removed_instructions);
+      ASSERT_EQ(got_st.folded_branches, want_st.folded_branches);
+    }
+  }
+}
+
+// Through the layer itself: on a 4-NIC pool, connections over many ports,
+// CCB addresses and ring sizes each run an instance equal to Specialize of
+// their shape under their own bindings — before establishment, established,
+// and promoted hot.
+TEST(StreamProcessorPrepareTest, LayerInstancesEqualSpecializeForEveryShape) {
+  Kernel k;
+  IoSystem io(k, nullptr);
+  NicPoolConfig pc;
+  pc.initial_nics = 4;
+  NicPool pool(k, pc);
+  StreamLayer st(k, io, pool);
+  const SynthesisOptions opts = ProcessorOptions(k);
+  auto expect_shape = [&](ConnId c, ProcShape shape) {
+    const Bindings b = ConnectionHoles(k, st, pool, c);
+    CodeBlock want = k.synthesizer().Specialize(SegmentProcessorTemplate(shape),
+                                                b, nullptr, opts);
+    EXPECT_EQ(k.code().Get(st.SynthDeliverOf(c)).code, want.code)
+        << "port " << st.PortOf(c) << " shape " << static_cast<int>(shape);
+  };
+  std::mt19937 rng(8);
+  std::vector<ConnId> conns;
+  const uint32_t kRings[] = {64, 256, 1024, 4096, 16384};
+  for (uint32_t i = 0; i < 20; i++) {
+    k.allocator().Allocate(4 + rng() % 200);  // vary the CCB and ring addresses
+    StreamConfig cfg;
+    cfg.ring_bytes = kRings[i % 5];
+    const uint16_t port = static_cast<uint16_t>(100 + 997 * i % 30000);
+    ConnId srv = st.Listen(port, cfg);
+    ConnId cli = st.Connect(port, cfg);
+    ASSERT_NE(srv, kBadConn);
+    ASSERT_NE(cli, kBadConn);
+    expect_shape(srv, ProcShape::kPreEstablish);
+    expect_shape(cli, ProcShape::kPreEstablish);
+    conns.push_back(srv);
+    conns.push_back(cli);
+  }
+  k.Run();
+  for (ConnId c : conns) {
+    ASSERT_EQ(st.StateOf(c), CcbLayout::kEstablished);
+    ASSERT_FALSE(st.DegradedOf(c));
+    expect_shape(c, ProcShape::kEstablished);
+    ASSERT_TRUE(k.spec().Promote(st.SpecOf(c), SpecTier::kHot));
+    expect_shape(c, ProcShape::kHot);
+  }
 }
 
 // --- UNIX emulator surface ----------------------------------------------------

@@ -3,7 +3,8 @@
 // for every binding and invariant-memory configuration tried. This is the
 // synthesizer's strongest correctness guarantee: whatever the optimizer does
 // — folding, inlining, branch elimination, DCE, peephole — semantics are
-// preserved.
+// preserved. Random templates with holes also pin copy-and-patch synthesis
+// (Prepare/Instantiate) to Specialize, code and stats.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,12 +47,28 @@ constexpr uint32_t kInvWords = 32;
 
 // Generates a random straight-line-with-forward-branches template that only
 // touches [kDataBase, kDataBase+4K) and reads [kInvBase, +128).
-CodeTemplate RandomTemplate(std::mt19937& rng, int length, int id) {
+//
+// With `holes` set, about half the immediates below become named holes
+// (appended to *holes): kMoveI values, which then feed Add/Move/CmpI/Lea/Load
+// folds through their register, the kAddI/kAndI/kMulI/kLea operands that
+// peephole rules test for identity values, kCmpI operands, kLoadA/kStoreA
+// addresses and kJsr targets; the op mix gains kMulI, kLea, based loads and
+// calls to blocks 1 and 2. Such templates are for code comparison only: a
+// hole may hold any address.
+CodeTemplate RandomTemplate(std::mt19937& rng, int length, int id,
+                            std::vector<std::string>* holes = nullptr) {
   Asm a("fuzz" + std::to_string(id));
-  std::uniform_int_distribution<int> op_pick(0, 11);
+  std::uniform_int_distribution<int> op_pick(0, holes ? 15 : 11);
   std::uniform_int_distribution<int> reg_pick(0, 5);       // d0-d5
   std::uniform_int_distribution<int> imm_pick(-64, 64);
   std::uniform_int_distribution<int> word_pick(0, 31);
+  auto imm = [&](int32_t literal) -> ImmArg {
+    if (holes == nullptr || rng() % 2 == 0) {
+      return literal;
+    }
+    holes->push_back("h" + std::to_string(holes->size()));
+    return Asm::Sym(holes->back());
+  };
   int pending_label = 0;
   std::vector<std::string> labels;
   for (int i = 0; i < length; i++) {
@@ -59,13 +76,13 @@ CodeTemplate RandomTemplate(std::mt19937& rng, int length, int id) {
     uint8_t rs = static_cast<uint8_t>(reg_pick(rng));
     switch (op_pick(rng)) {
       case 0:
-        a.MoveI(rd, imm_pick(rng));
+        a.MoveI(rd, imm(imm_pick(rng)));
         break;
       case 1:
         a.Move(rd, rs);
         break;
       case 2:
-        a.AddI(rd, imm_pick(rng));
+        a.AddI(rd, imm(imm_pick(rng)));
         break;
       case 3:
         a.Add(rd, rs);
@@ -74,19 +91,31 @@ CodeTemplate RandomTemplate(std::mt19937& rng, int length, int id) {
         a.Sub(rd, rs);
         break;
       case 5:
-        a.AndI(rd, imm_pick(rng) | 0xFF);
+        a.AndI(rd, imm(imm_pick(rng) | 0xFF));
         break;
       case 6:
         a.LsrI(rd, word_pick(rng) % 8);
         break;
       case 7:  // read from the invariant region
-        a.LoadA32(rd, static_cast<int32_t>(kInvBase + 4 * word_pick(rng)));
+        a.LoadA32(rd, imm(static_cast<int32_t>(kInvBase + 4 * word_pick(rng))));
         break;
       case 8:  // read/write the mutable playground
-        a.LoadA32(rd, static_cast<int32_t>(kDataBase + 4 * word_pick(rng)));
+        a.LoadA32(rd, imm(static_cast<int32_t>(kDataBase + 4 * word_pick(rng))));
         break;
       case 9:
-        a.StoreA32(static_cast<int32_t>(kDataBase + 4 * word_pick(rng)), rs);
+        a.StoreA32(imm(static_cast<int32_t>(kDataBase + 4 * word_pick(rng))), rs);
+        break;
+      case 12:
+        a.MulI(rd, imm(word_pick(rng) % 4));
+        break;
+      case 13:
+        a.Lea(rd, rs, imm(word_pick(rng) % 3));
+        break;
+      case 14:
+        a.Load32(rd, rs, imm(4 * (word_pick(rng) % 4)));
+        break;
+      case 15:
+        a.Jsr(imm(1 + word_pick(rng) % 2));
         break;
       case 10: {  // forward conditional branch over the next few instructions
         std::string label = "L" + std::to_string(id) + "_" + std::to_string(i);
@@ -107,7 +136,7 @@ CodeTemplate RandomTemplate(std::mt19937& rng, int length, int id) {
         break;
       }
       default:
-        a.CmpI(rd, imm_pick(rng));
+        a.CmpI(rd, imm(imm_pick(rng)));
         break;
     }
     if (pending_label > 0 && --pending_label == 0 && !labels.empty()) {
@@ -184,6 +213,90 @@ TEST_P(SynthesizerFuzz, SpecializedEqualsVerbatim) {
     ASSERT_EQ(vregs, fregs) << "register divergence in round " << round;
     ASSERT_EQ(vmem, fmem) << "memory divergence in round " << round;
   }
+}
+
+// Copy-and-patch synthesis against the full pipeline: random templates with
+// holes are prepared once, with a random subset of holes fixed and the rest
+// opaque, and every instance under random values must equal Specialize of the
+// template under the same bindings, code and stats. Instantiate takes the full
+// path itself when Prepare declined or a guard trips, so the patched outcome
+// is counted separately and must occur: it is the one this test is about.
+TEST_P(SynthesizerFuzz, PreparedInstancesEqualSpecialized) {
+  std::mt19937 rng(static_cast<uint32_t>(GetParam()) * 2246822519u + 3);
+  CodeStore store;
+  Synthesizer synth(store);
+  // Call targets for kJsr holes: a leaf and one with a loop.
+  Asm leaf("leaf");
+  leaf.AddI(kD0, 3).Rts();
+  ASSERT_EQ(store.Install(leaf.BuildBlock()), 1);
+  Asm loop("loop");
+  loop.Label("top").SubI(kD1, 1).Tst(kD1).Bne("top").Rts();
+  ASSERT_EQ(store.Install(loop.BuildBlock()), 2);
+
+  SynthesisOptions full;
+  full.live_out = 0x3F | (1u << 15);  // d0-d5 results + sp
+  // Guard values and block ids come up often; the rest are arbitrary.
+  auto value = [&]() -> int32_t {
+    switch (rng() % 6) {
+      case 0:
+        return 0;
+      case 1:
+        return 1;
+      case 2:
+        return -1;
+      case 3:
+        return 2;
+      case 4:
+        return static_cast<int32_t>(rng() % 129) - 64;
+      default:
+        return static_cast<int32_t>(rng());
+    }
+  };
+
+  int patched = 0, declined = 0, guarded = 0;
+  for (int round = 0; round < 16; round++) {
+    std::vector<std::string> holes;
+    CodeTemplate tmpl = RandomTemplate(rng, 24, GetParam() * 100 + round, &holes);
+    Bindings fixed;
+    std::vector<std::string> opaque;
+    for (const std::string& h : holes) {
+      if (rng() % 4 == 0) {
+        fixed.Set(h, value());
+      } else {
+        opaque.push_back(h);
+      }
+    }
+    PreparedTemplate prep = synth.Prepare(tmpl, fixed, opaque, full);
+    for (int inst = 0; inst < 8; inst++) {
+      std::vector<int32_t> values;
+      Bindings all = fixed;
+      for (const std::string& h : opaque) {
+        values.push_back(value());
+        all.Set(h, values.back());
+      }
+      SynthesisStats want_st, got_st;
+      CodeBlock want = synth.Specialize(tmpl, all, nullptr, full, &want_st, "x");
+      CodeBlock got = synth.Instantiate(prep, values, &got_st, "x");
+      if (prep.declined()) {
+        declined++;
+      } else if (prep.Trips(values)) {
+        guarded++;
+      } else {
+        patched++;
+      }
+      ASSERT_EQ(got.code, want.code) << "round " << round << " instance " << inst;
+      ASSERT_EQ(got_st.input_instructions, want_st.input_instructions);
+      ASSERT_EQ(got_st.output_instructions, want_st.output_instructions);
+      ASSERT_EQ(got_st.inlined_calls, want_st.inlined_calls);
+      ASSERT_EQ(got_st.folded_loads, want_st.folded_loads);
+      ASSERT_EQ(got_st.folded_branches, want_st.folded_branches);
+      ASSERT_EQ(got_st.removed_instructions, want_st.removed_instructions);
+    }
+  }
+  RecordProperty("patched", patched);
+  RecordProperty("declined", declined);
+  RecordProperty("guarded", guarded);
+  EXPECT_GT(patched, 0) << "no instance took the copy-and-patch path";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SynthesizerFuzz, ::testing::Range(1, 13));

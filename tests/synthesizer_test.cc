@@ -317,5 +317,62 @@ TEST_F(SynthesizerTest, StatsAreConsistent) {
   EXPECT_EQ(RunBlock(store_.Install(out)), 1u);
 }
 
+// Copy-and-patch: an opaque hole survives optimization in place and each
+// instance patches it, matching Specialize of the same bindings.
+TEST_F(SynthesizerTest, PreparedInstancePatchesOpaqueHoles) {
+  Asm a("t");
+  a.MoveI(kD1, Asm::Sym("k")).Add(kD0, kD1).AddI(kD0, Asm::Sym("n"));
+  a.MoveI(kD3, Asm::Sym("dead")).Rts();  // d3 is not live out: its slot goes
+  CodeTemplate t = a.Build();
+  PreparedTemplate p =
+      synth_.Prepare(t, Bindings().Set("n", 2), {"k", "dead"}, opts_);
+  ASSERT_FALSE(p.declined());
+  EXPECT_TRUE(p.guards().empty()) << "the fixed AddI immediate needs no guard";
+  const int32_t values[] = {40, 7};
+  CodeBlock got = synth_.Instantiate(p, values);
+  CodeBlock want = synth_.Specialize(
+      t, Bindings().Set("k", 40).Set("n", 2).Set("dead", 7), nullptr, opts_);
+  EXPECT_EQ(got.code, want.code);
+  EXPECT_EQ(got.code.size(), 4u);  // movei d1; add; addi; rts
+  EXPECT_EQ(RunBlock(store_.Install(got), 0), 42u);
+}
+
+// An identity value in an opaque immediate is a guard, not a rewrite: the
+// instance that trips it is specialized the full way.
+TEST_F(SynthesizerTest, PreparedGuardsSendIdentityValuesToTheFullPath) {
+  Asm a("t");
+  a.AndI(kD0, Asm::Sym("mask")).Rts();
+  CodeTemplate t = a.Build();
+  PreparedTemplate p = synth_.Prepare(t, Bindings(), {"mask"}, opts_);
+  ASSERT_FALSE(p.declined());
+  ASSERT_EQ(p.guards().size(), 1u);
+  EXPECT_EQ(p.guards()[0], (PreparedTemplate::Guard{0, -1}));
+  for (int32_t mask : {0xFF, -1}) {
+    const int32_t values[] = {mask};
+    EXPECT_EQ(p.Trips(values), mask == -1);
+    SynthesisStats got_st, want_st;
+    CodeBlock got = synth_.Instantiate(p, values, &got_st);
+    CodeBlock want = synth_.Specialize(t, Bindings().Set("mask", mask), nullptr,
+                                       opts_, &want_st);
+    EXPECT_EQ(got.code, want.code) << mask;
+    EXPECT_EQ(got_st.removed_instructions, want_st.removed_instructions) << mask;
+  }
+}
+
+// A fold that would read an opaque value declines the template; instances
+// then run Specialize and still come out equal.
+TEST_F(SynthesizerTest, PreparedDeclinesFoldsOverOpaqueValues) {
+  Asm a("t");
+  a.MoveI(kD1, Asm::Sym("k")).MoveI(kD0, 5).Add(kD0, kD1).Rts();
+  CodeTemplate t = a.Build();
+  PreparedTemplate p = synth_.Prepare(t, Bindings(), {"k"}, opts_);
+  EXPECT_TRUE(p.declined());
+  const int32_t values[] = {37};
+  CodeBlock got = synth_.Instantiate(p, values);
+  EXPECT_EQ(got.code, synth_.Specialize(t, Bindings().Set("k", 37), nullptr,
+                                        opts_).code);
+  EXPECT_EQ(RunBlock(store_.Install(got)), 42u);
+}
+
 }  // namespace
 }  // namespace synthesis
