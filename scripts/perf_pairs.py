@@ -24,6 +24,10 @@ the change's median is no worse than the parent's by more than the metric's
 "unresolved" when the median is within the bound but a side's spread is
 wider; and "WORSE" when the median is outside the bound.
 
+Before the pairs it prints the address and size of every Executor symbol in
+each side's built benchmark (nm -S), so each measurement records where the
+interpreter's hot loop landed: code layout alone moves host speed.
+
 The script reads BENCHMARK.json and runs perfbench/run.py; it writes nothing
 into either checkout except what run.py itself builds.
 """
@@ -54,6 +58,29 @@ def run_once(root, args, seconds):
                  (root, proc.returncode,
                   None if result is None else result.get("correct")))
     return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+def executor_layout(root):
+    """(address, size, name) of each Executor symbol in root's benchmark."""
+    # Where perfbench/run.py builds the benchmark.
+    binary = os.path.join(root, ".bench_build", "perfbench", "perfbench")
+    try:
+        proc = subprocess.run(["nm", "-S", "-C", binary], stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, text=True)
+    except OSError:
+        return []
+    rows = []
+    for line in proc.stdout.splitlines():
+        parts = line.split(None, 3)
+        if len(parts) < 4 or "Executor::" not in parts[3]:
+            continue
+        try:
+            row = (int(parts[0], 16), int(parts[1], 16), parts[3])
+        except ValueError:
+            continue  # undefined, or no size: nothing to place
+        if row not in rows:
+            rows.append(row)  # nm lists a constructor or destructor per alias
+    return rows
 
 
 def quartiles(values):
@@ -105,6 +132,13 @@ def main():
         print("perf_pairs: building and checking %s (%s)" % (name, root),
               file=sys.stderr)
         run_once(root, args, 0)
+
+    for name, root in sides.items():
+        layout = executor_layout(root)
+        if not layout:
+            print("%s layout: no Executor symbols (nm unavailable?)" % name)
+        for addr, size, sym in layout:
+            print("%s layout: 0x%x %d B %s" % (name, addr, size, sym))
 
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):

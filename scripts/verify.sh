@@ -140,13 +140,23 @@ if command -v python3 > /dev/null; then
   # in .bench_build/), at seed 1 and at the held-out seed 7. "correct" covers
   # every operation's bytes and every workload check (conn_churn: exact
   # occupancy return after the phase), plus virtual_identical and
-  # zero_residual.
+  # zero_residual. Then every simulated number must match its golden copy in
+  # bench/golden/ byte for byte: the run's lines minus the final JSON line,
+  # the trace overhead_x line and every line that names a host quantity. A
+  # change that moves a simulated number on purpose regenerates the golden
+  # with the same filter in the same commit.
   for seed in 1 7; do
     for w in conn_churn stream_echo file_mix; do
-      python3 perfbench/run.py --workload "$w" --seed "$seed" --seconds 0 \
-          --trace 1 2> /dev/null | tail -n 1 \
+      out=$(python3 perfbench/run.py --workload "$w" --seed "$seed" --seconds 0 \
+          --trace 1 2> /dev/null) \
+        || { echo "verify: perfbench $w seed $seed smoke failed" >&2; exit 1; }
+      tail -n 1 <<< "$out" \
         | python3 -c 'import json,sys; sys.exit(0 if json.load(sys.stdin)["correct"] else 1)' \
         || { echo "verify: perfbench $w seed $seed smoke failed" >&2; exit 1; }
+      golden="bench/golden/perfbench_${w}_seed${seed}.txt"
+      sed '$d' <<< "$out" | grep -v -e host -e '^trace overhead_x ' \
+        | diff -u "$golden" - \
+        || { echo "verify: perfbench $w seed $seed moved from $golden" >&2; exit 1; }
     done
   done
 fi

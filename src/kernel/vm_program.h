@@ -54,7 +54,6 @@ class VmProgram : public UserProgram {
         // The trap handler parked us on a wait queue; retry after unblock.
         return StepStatus::kBlocked;
       case RunOutcome::kStepLimit:
-      case RunOutcome::kInterrupted:
         return StepStatus::kYield;
       case RunOutcome::kFault: {
         if (fault_out_ != nullptr) {

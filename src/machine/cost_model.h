@@ -13,9 +13,12 @@
 // Q_put path; tests/machine_test.cc pins every row of the table.
 //
 // Costs are a static fact of each opcode, so they live in one table with a
-// row per opcode (Factoring Invariants applied to the simulator): the
-// executor, the kernel monitor and the benches all read it through Cycles()
-// and MemRefs(), two inline row reads.
+// row per opcode (Factoring Invariants applied to the simulator): the kernel
+// monitor and the benches read it through Cycles() and MemRefs(). A CostModel
+// also folds the table once for its machine config into one CostRow per
+// opcode, with the memory-reference penalty included, so the executor's
+// shared charge is two row reads; only kMovemSave, kMovemLoad and kCharge,
+// whose cost depends on imm, go through Cycles()/MemRefs() there.
 #ifndef SRC_MACHINE_COST_MODEL_H_
 #define SRC_MACHINE_COST_MODEL_H_
 
@@ -85,11 +88,28 @@ inline constexpr std::array<OpCost, 256> kOpCosts = [] {
   return t;
 }();
 
+// One opcode's charge under one machine config, imm-dependent terms excluded.
+struct CostRow {
+  uint32_t cycles[2];  // memory-reference penalty included; indexed by branch_taken
+  uint32_t refs;       // data-memory references
+};
+
 class CostModel {
  public:
-  explicit CostModel(MachineConfig config) : config_(config) {}
+  explicit CostModel(MachineConfig config) : config_(config) {
+    for (size_t op = 0; op < kOpCosts.size(); op++) {
+      const OpCost& c = kOpCosts[op];
+      for (int taken = 0; taken < 2; taken++) {
+        rows_[op].cycles[taken] = c.base[taken] + c.refs * MemCycles();
+      }
+      rows_[op].refs = c.refs;
+    }
+  }
 
   const MachineConfig& config() const { return config_; }
+
+  // This config's rows, indexed by the opcode byte.
+  const CostRow* rows() const { return rows_.data(); }
 
   // Cycles for one memory reference (bus cycle plus wait states).
   uint32_t MemCycles() const { return 2 + config_.wait_states; }
@@ -104,8 +124,8 @@ class CostModel {
   // conditional branches. Includes memory-reference penalties.
   uint32_t Cycles(const Instr& instr, bool branch_taken) const {
     const OpCost& c = Row(instr.op);
-    return c.base[branch_taken] + c.imm_base * static_cast<uint32_t>(instr.imm) +
-           MemRefs(instr) * MemCycles();
+    return rows_[static_cast<uint8_t>(instr.op)].cycles[branch_taken] +
+           (c.imm_base + c.imm_refs * MemCycles()) * static_cast<uint32_t>(instr.imm);
   }
 
   // Convert an accumulated cycle count to microseconds of virtual time.
@@ -117,6 +137,7 @@ class CostModel {
   static const OpCost& Row(Opcode op) { return kOpCosts[static_cast<uint8_t>(op)]; }
 
   MachineConfig config_;
+  std::array<CostRow, kOpCosts.size()> rows_{};
 };
 
 }  // namespace synthesis

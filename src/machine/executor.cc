@@ -73,19 +73,36 @@ RunResult Executor::Run(uint64_t max_steps) {
   }
 
   const CodeBlock* blk = &store_.Get(block_);
-  // pc and this run's tallies live in locals, which simulated memory writes
-  // cannot alias, and are published to pc_, the machine's counters and the
-  // RunResult only where host code can look (see executor.h). The cost model
-  // is copied for the same reason. The helpers below are forced inline: an
-  // out-of-line call would take the locals' addresses and send them back to
-  // memory.
-  const CostModel cost = machine_.cost_model();
+  // pc, this run's tallies and the machine state the loop touches live in
+  // locals, which simulated memory writes cannot alias, and are published
+  // and reloaded only where host code can look (see executor.h). The helpers
+  // below are forced inline: an out-of-line call would take the locals'
+  // addresses and send them back to memory.
+  const CostModel& cost = machine_.cost_model();
+  const CostRow* const rows = cost.rows();
   uint32_t pc = pc_;
   uint64_t instrs = 0, cycles = 0, refs = 0;
   uint64_t billed_instrs = 0, billed_cycles = 0, billed_refs = 0;
+  uint32_t regs[kNumRegisters] = {};
+  uint32_t cc_lhs = 0, cc_rhs = 0;
+  uint8_t* mem = nullptr;
+  uint64_t mem_size = 0;
+  bool supervisor = true, tracing = false;
   // The current instruction's trace entry; it is charged before any host
   // code can record another.
   TraceEntry* traced = nullptr;
+
+  auto load = [&]() __attribute__((always_inline)) {
+    for (uint8_t i = 0; i < kNumRegisters; i++) {
+      regs[i] = machine_.reg(i);
+    }
+    cc_lhs = machine_.cc_lhs();
+    cc_rhs = machine_.cc_rhs();
+    mem = machine_.memory().data();
+    mem_size = machine_.memory().size();
+    supervisor = machine_.supervisor();
+    tracing = machine_.tracing();
+  };
 
   auto publish = [&]() __attribute__((always_inline)) {
     machine_.Charge(cycles - billed_cycles, instrs - billed_instrs, refs - billed_refs);
@@ -93,6 +110,10 @@ RunResult Executor::Run(uint64_t max_steps) {
     billed_cycles = cycles;
     billed_refs = refs;
     pc_ = pc;
+    for (uint8_t i = 0; i < kNumRegisters; i++) {
+      machine_.set_reg(i, regs[i]);
+    }
+    machine_.SetCc(cc_lhs, cc_rhs);
   };
 
   auto finish = [&](RunOutcome outcome) __attribute__((always_inline)) {
@@ -109,23 +130,30 @@ RunResult Executor::Run(uint64_t max_steps) {
     return finish(RunOutcome::kFault);
   };
 
-  auto charge = [&](const Instr& in, bool taken) __attribute__((always_inline)) {
-    const uint32_t c = cost.Cycles(in, taken);
+  // The range check on every data access, then the quaspace filter in user
+  // mode (§4.1).
+  auto access_ok = [&](Addr addr, size_t len) __attribute__((always_inline)) {
+    return static_cast<uint64_t>(addr) + len <= mem_size &&
+           (supervisor || machine_.address_filter().Permits(addr, len));
+  };
+
+  auto charge = [&](uint32_t c, uint32_t m) __attribute__((always_inline)) {
     instrs++;
     cycles += c;
-    refs += CostModel::MemRefs(in);
+    refs += m;
     if (traced != nullptr) {
       traced->cycles = c;
     }
   };
 
+  // The row charge of an opcode whose cost does not depend on imm.
+  auto charge_row = [&](Opcode op, bool taken) __attribute__((always_inline)) {
+    const CostRow& row = rows[static_cast<uint8_t>(op)];
+    charge(row.cycles[taken], row.refs);
+  };
+
+  load();
   while (instrs < max_steps) {
-    if (interrupt_poll_) {
-      publish();
-      if (interrupt_poll_()) {
-        return finish(RunOutcome::kInterrupted);
-      }
-    }
     if (pc >= blk->code.size()) {
       // Falling off the end of a block behaves like kRts (implicit return).
       if (frames_.empty()) {
@@ -141,56 +169,54 @@ RunResult Executor::Run(uint64_t max_steps) {
     // A copy, not a reference: a trap handler may replace the block, and a
     // local the stores below cannot alias stays in registers.
     const Instr in = blk->code[pc];
-    traced = machine_.tracing() ? &machine_.Record(block_, pc, in) : nullptr;
+    traced = tracing ? &machine_.Record(block_, pc, in) : nullptr;
     uint32_t next_pc = pc + 1;
     bool taken = false;
 
-    // Each case either falls out to the shared charge below, or charges
+    // Each case either falls out to the shared row charge below, or charges
     // itself before host code runs or the run ends.
     switch (in.op) {
       case Opcode::kNop:
-      case Opcode::kCharge:
         break;
 
       case Opcode::kMoveI:
-        machine_.set_reg(in.rd, static_cast<uint32_t>(in.imm));
+        regs[in.rd] = static_cast<uint32_t>(in.imm);
         break;
       case Opcode::kMove:
-        machine_.set_reg(in.rd, machine_.reg(in.rs));
+        regs[in.rd] = regs[in.rs];
         break;
       case Opcode::kLea:
-        machine_.set_reg(in.rd, machine_.reg(in.rs) + static_cast<uint32_t>(in.imm));
+        regs[in.rd] = regs[in.rs] + static_cast<uint32_t>(in.imm);
         break;
 
       case Opcode::kLoad8:
       case Opcode::kLoad16:
       case Opcode::kLoad32: {
-        Addr addr = machine_.reg(in.rs) + static_cast<uint32_t>(in.imm);
+        Addr addr = regs[in.rs] + static_cast<uint32_t>(in.imm);
         size_t len = in.op == Opcode::kLoad8 ? 1 : in.op == Opcode::kLoad16 ? 2 : 4;
-        if (!machine_.AccessOk(addr, len)) {
+        if (!access_ok(addr, len)) {
           return fault(FaultKind::kBusError, addr);
         }
-        uint32_t v = in.op == Opcode::kLoad8    ? machine_.memory().Read8(addr)
-                     : in.op == Opcode::kLoad16 ? machine_.memory().Read16(addr)
-                                                : machine_.memory().Read32(addr);
-        machine_.set_reg(in.rd, v);
+        regs[in.rd] = in.op == Opcode::kLoad8    ? Memory::Read8(mem, addr)
+                      : in.op == Opcode::kLoad16 ? Memory::Read16(mem, addr)
+                                                 : Memory::Read32(mem, addr);
         break;
       }
       case Opcode::kStore8:
       case Opcode::kStore16:
       case Opcode::kStore32: {
-        Addr addr = machine_.reg(in.rd) + static_cast<uint32_t>(in.imm);
+        Addr addr = regs[in.rd] + static_cast<uint32_t>(in.imm);
         size_t len = in.op == Opcode::kStore8 ? 1 : in.op == Opcode::kStore16 ? 2 : 4;
-        if (!machine_.AccessOk(addr, len)) {
+        if (!access_ok(addr, len)) {
           return fault(FaultKind::kBusError, addr);
         }
-        uint32_t v = machine_.reg(in.rs);
+        uint32_t v = regs[in.rs];
         if (in.op == Opcode::kStore8) {
-          machine_.memory().Write8(addr, static_cast<uint8_t>(v));
+          Memory::Write8(mem, addr, static_cast<uint8_t>(v));
         } else if (in.op == Opcode::kStore16) {
-          machine_.memory().Write16(addr, static_cast<uint16_t>(v));
+          Memory::Write16(mem, addr, static_cast<uint16_t>(v));
         } else {
-          machine_.memory().Write32(addr, v);
+          Memory::Write32(mem, addr, v);
         }
         break;
       }
@@ -200,13 +226,12 @@ RunResult Executor::Run(uint64_t max_steps) {
       case Opcode::kLoadA32: {
         Addr addr = static_cast<Addr>(in.imm);
         size_t len = in.op == Opcode::kLoadA8 ? 1 : in.op == Opcode::kLoadA16 ? 2 : 4;
-        if (!machine_.AccessOk(addr, len)) {
+        if (!access_ok(addr, len)) {
           return fault(FaultKind::kBusError, addr);
         }
-        uint32_t v = in.op == Opcode::kLoadA8    ? machine_.memory().Read8(addr)
-                     : in.op == Opcode::kLoadA16 ? machine_.memory().Read16(addr)
-                                                 : machine_.memory().Read32(addr);
-        machine_.set_reg(in.rd, v);
+        regs[in.rd] = in.op == Opcode::kLoadA8    ? Memory::Read8(mem, addr)
+                      : in.op == Opcode::kLoadA16 ? Memory::Read16(mem, addr)
+                                                  : Memory::Read32(mem, addr);
         break;
       }
       case Opcode::kStoreA8:
@@ -214,100 +239,103 @@ RunResult Executor::Run(uint64_t max_steps) {
       case Opcode::kStoreA32: {
         Addr addr = static_cast<Addr>(in.imm);
         size_t len = in.op == Opcode::kStoreA8 ? 1 : in.op == Opcode::kStoreA16 ? 2 : 4;
-        if (!machine_.AccessOk(addr, len)) {
+        if (!access_ok(addr, len)) {
           return fault(FaultKind::kBusError, addr);
         }
-        uint32_t v = machine_.reg(in.rs);
+        uint32_t v = regs[in.rs];
         if (in.op == Opcode::kStoreA8) {
-          machine_.memory().Write8(addr, static_cast<uint8_t>(v));
+          Memory::Write8(mem, addr, static_cast<uint8_t>(v));
         } else if (in.op == Opcode::kStoreA16) {
-          machine_.memory().Write16(addr, static_cast<uint16_t>(v));
+          Memory::Write16(mem, addr, static_cast<uint16_t>(v));
         } else {
-          machine_.memory().Write32(addr, v);
+          Memory::Write32(mem, addr, v);
         }
         break;
       }
       case Opcode::kLoadIdx32: {
-        Addr addr = static_cast<Addr>(in.imm) + machine_.reg(in.rs) * 4;
-        if (!machine_.AccessOk(addr, 4)) {
+        Addr addr = static_cast<Addr>(in.imm) + regs[in.rs] * 4;
+        if (!access_ok(addr, 4)) {
           return fault(FaultKind::kBusError, addr);
         }
-        machine_.set_reg(in.rd, machine_.memory().Read32(addr));
+        regs[in.rd] = Memory::Read32(mem, addr);
         break;
       }
       case Opcode::kStoreIdx32: {
-        Addr addr = static_cast<Addr>(in.imm) + machine_.reg(in.rs) * 4;
-        if (!machine_.AccessOk(addr, 4)) {
+        Addr addr = static_cast<Addr>(in.imm) + regs[in.rs] * 4;
+        if (!access_ok(addr, 4)) {
           return fault(FaultKind::kBusError, addr);
         }
-        machine_.memory().Write32(addr, machine_.reg(in.rd));
+        Memory::Write32(mem, addr, regs[in.rd]);
         break;
       }
 
       case Opcode::kPush: {
-        Addr sp = machine_.reg(kA7) - 4;
-        if (!machine_.AccessOk(sp, 4)) {
+        Addr sp = regs[kA7] - 4;
+        if (!access_ok(sp, 4)) {
           return fault(FaultKind::kBusError, sp);
         }
-        machine_.memory().Write32(sp, machine_.reg(in.rs));
-        machine_.set_reg(kA7, sp);
+        Memory::Write32(mem, sp, regs[in.rs]);
+        regs[kA7] = sp;
         break;
       }
       case Opcode::kPop: {
-        Addr sp = machine_.reg(kA7);
-        if (!machine_.AccessOk(sp, 4)) {
+        Addr sp = regs[kA7];
+        if (!access_ok(sp, 4)) {
           return fault(FaultKind::kBusError, sp);
         }
-        machine_.set_reg(in.rd, machine_.memory().Read32(sp));
-        machine_.set_reg(kA7, sp + 4);
+        regs[in.rd] = Memory::Read32(mem, sp);
+        regs[kA7] = sp + 4;
         break;
       }
 
       case Opcode::kAdd:
-        machine_.set_reg(in.rd, machine_.reg(in.rd) + machine_.reg(in.rs));
+        regs[in.rd] += regs[in.rs];
         break;
       case Opcode::kAddI:
-        machine_.set_reg(in.rd, machine_.reg(in.rd) + static_cast<uint32_t>(in.imm));
+        regs[in.rd] += static_cast<uint32_t>(in.imm);
         break;
       case Opcode::kSub:
-        machine_.set_reg(in.rd, machine_.reg(in.rd) - machine_.reg(in.rs));
+        regs[in.rd] -= regs[in.rs];
         break;
       case Opcode::kSubI:
-        machine_.set_reg(in.rd, machine_.reg(in.rd) - static_cast<uint32_t>(in.imm));
+        regs[in.rd] -= static_cast<uint32_t>(in.imm);
         break;
       case Opcode::kMulI:
-        machine_.set_reg(in.rd, machine_.reg(in.rd) * static_cast<uint32_t>(in.imm));
+        regs[in.rd] *= static_cast<uint32_t>(in.imm);
         break;
       case Opcode::kAnd:
-        machine_.set_reg(in.rd, machine_.reg(in.rd) & machine_.reg(in.rs));
+        regs[in.rd] &= regs[in.rs];
         break;
       case Opcode::kAndI:
-        machine_.set_reg(in.rd, machine_.reg(in.rd) & static_cast<uint32_t>(in.imm));
+        regs[in.rd] &= static_cast<uint32_t>(in.imm);
         break;
       case Opcode::kOr:
-        machine_.set_reg(in.rd, machine_.reg(in.rd) | machine_.reg(in.rs));
+        regs[in.rd] |= regs[in.rs];
         break;
       case Opcode::kOrI:
-        machine_.set_reg(in.rd, machine_.reg(in.rd) | static_cast<uint32_t>(in.imm));
+        regs[in.rd] |= static_cast<uint32_t>(in.imm);
         break;
       case Opcode::kXor:
-        machine_.set_reg(in.rd, machine_.reg(in.rd) ^ machine_.reg(in.rs));
+        regs[in.rd] ^= regs[in.rs];
         break;
       case Opcode::kLslI:
-        machine_.set_reg(in.rd, machine_.reg(in.rd) << (in.imm & 31));
+        regs[in.rd] <<= (in.imm & 31);
         break;
       case Opcode::kLsrI:
-        machine_.set_reg(in.rd, machine_.reg(in.rd) >> (in.imm & 31));
+        regs[in.rd] >>= (in.imm & 31);
         break;
 
       case Opcode::kCmp:
-        machine_.SetCc(machine_.reg(in.rd), machine_.reg(in.rs));
+        cc_lhs = regs[in.rd];
+        cc_rhs = regs[in.rs];
         break;
       case Opcode::kCmpI:
-        machine_.SetCc(machine_.reg(in.rd), static_cast<uint32_t>(in.imm));
+        cc_lhs = regs[in.rd];
+        cc_rhs = static_cast<uint32_t>(in.imm);
         break;
       case Opcode::kTst:
-        machine_.SetCc(machine_.reg(in.rd), 0);
+        cc_lhs = regs[in.rd];
+        cc_rhs = 0;
         break;
 
       case Opcode::kBra:
@@ -319,8 +347,7 @@ RunResult Executor::Run(uint64_t max_steps) {
       case Opcode::kBle:
       case Opcode::kBhi:
       case Opcode::kBls: {
-        taken = in.op == Opcode::kBra ||
-                EvalBranch(in.op, machine_.cc_lhs(), machine_.cc_rhs());
+        taken = in.op == Opcode::kBra || EvalBranch(in.op, cc_lhs, cc_rhs);
         if (taken) {
           next_pc = static_cast<uint32_t>(in.imm);
         }
@@ -329,9 +356,8 @@ RunResult Executor::Run(uint64_t max_steps) {
 
       case Opcode::kJsr:
       case Opcode::kJsrInd: {
-        BlockId target = in.op == Opcode::kJsr
-                             ? in.imm
-                             : static_cast<BlockId>(machine_.reg(in.rs));
+        BlockId target =
+            in.op == Opcode::kJsr ? in.imm : static_cast<BlockId>(regs[in.rs]);
         if (!store_.Valid(target)) {
           return fault(FaultKind::kBadBlock);
         }
@@ -342,7 +368,7 @@ RunResult Executor::Run(uint64_t max_steps) {
         break;
       }
       case Opcode::kJmpInd: {
-        BlockId target = static_cast<BlockId>(machine_.reg(in.rs));
+        BlockId target = static_cast<BlockId>(regs[in.rs]);
         if (!store_.Valid(target)) {
           return fault(FaultKind::kBadBlock);
         }
@@ -353,7 +379,7 @@ RunResult Executor::Run(uint64_t max_steps) {
       }
       case Opcode::kRts:
         if (frames_.empty()) {
-          charge(in, false);
+          charge_row(in.op, false);
           return finish(RunOutcome::kReturned);
         }
         block_ = frames_.back().block;
@@ -364,33 +390,35 @@ RunResult Executor::Run(uint64_t max_steps) {
 
       case Opcode::kCas:
       case Opcode::kCasA: {
-        Addr addr = in.op == Opcode::kCas
-                        ? machine_.reg(in.rs) + static_cast<uint32_t>(in.imm)
-                        : static_cast<Addr>(in.imm);
-        if (!machine_.AccessOk(addr, 4)) {
+        Addr addr = in.op == Opcode::kCas ? regs[in.rs] + static_cast<uint32_t>(in.imm)
+                                          : static_cast<Addr>(in.imm);
+        if (!access_ok(addr, 4)) {
           return fault(FaultKind::kBusError, addr);
         }
-        uint32_t mem = machine_.memory().Read32(addr);
-        uint32_t expect = machine_.reg(kD0);
-        if (mem == expect) {
-          machine_.memory().Write32(addr, machine_.reg(in.rd));
-          machine_.SetCc(1, 1);  // "equal": success
+        uint32_t word = Memory::Read32(mem, addr);
+        if (word == regs[kD0]) {
+          Memory::Write32(mem, addr, regs[in.rd]);
+          cc_lhs = 1;  // "equal": success
+          cc_rhs = 1;
         } else {
-          machine_.set_reg(kD0, mem);
-          machine_.SetCc(0, 1);  // "not equal": failure
+          regs[kD0] = word;
+          cc_lhs = 0;  // "not equal": failure
+          cc_rhs = 1;
         }
         break;
       }
 
       case Opcode::kTrap: {
-        charge(in, false);
+        charge_row(in.op, false);
         // The handler sees every instruction up to and including this trap
-        // billed, and pc_ at the trap (a nested Call saves and restores it).
+        // billed, the registers and condition codes they left, and pc_ at
+        // the trap (a nested Call saves and restores it).
         publish();
         TrapAction action =
             trap_handler_ ? trap_handler_(in.imm, machine_) : TrapAction::kFault;
-        // The handler may have replaced the current block in the store
-        // (resynthesis); refresh the cached reference.
+        // The handler may have changed any machine state, and replaced the
+        // current block in the store (resynthesis).
+        load();
         blk = &store_.Get(block_);
         switch (action) {
           case TrapAction::kContinue:
@@ -412,9 +440,9 @@ RunResult Executor::Run(uint64_t max_steps) {
       case Opcode::kMovemSave:
       case Opcode::kMovemLoad: {
         uint8_t base_reg = in.op == Opcode::kMovemSave ? in.rd : in.rs;
-        Addr base = machine_.reg(base_reg);
+        Addr base = regs[base_reg];
         size_t len = static_cast<size_t>(in.imm) * 4;
-        if (!machine_.AccessOk(base, len)) {
+        if (!access_ok(base, len)) {
           return fault(FaultKind::kBusError, base);
         }
         int count = in.imm > static_cast<int32_t>(kNumRegisters)
@@ -423,28 +451,35 @@ RunResult Executor::Run(uint64_t max_steps) {
         for (int i = 0; i < count; i++) {
           Addr slot = base + static_cast<Addr>(4 * i);
           if (in.op == Opcode::kMovemSave) {
-            machine_.memory().Write32(slot, machine_.reg(static_cast<uint8_t>(i)));
+            Memory::Write32(mem, slot, regs[i]);
           } else {
-            machine_.set_reg(static_cast<uint8_t>(i), machine_.memory().Read32(slot));
+            regs[i] = Memory::Read32(mem, slot);
           }
         }
-        break;
+        charge(cost.Cycles(in, false), CostModel::MemRefs(in));
+        pc = next_pc;
+        continue;
       }
+      case Opcode::kCharge:
+        charge(cost.Cycles(in, false), CostModel::MemRefs(in));
+        pc = next_pc;
+        continue;
 
       case Opcode::kSetVbr:
-        machine_.set_vbr(machine_.reg(in.rs));
+        machine_.set_vbr(regs[in.rs]);
         break;
 
       case Opcode::kHalt:
-        charge(in, false);
+        charge_row(in.op, false);
         pc = next_pc;
         return finish(RunOutcome::kHalted);
 
       case Opcode::kNumOpcodes:
+      default:
         return fault(FaultKind::kBadOpcode);
     }
 
-    charge(in, taken);
+    charge_row(in.op, taken);
     pc = next_pc;
   }
   return finish(RunOutcome::kStepLimit);

@@ -1,14 +1,20 @@
 // The instruction interpreter. Executes CodeBlocks against a Machine,
 // charging the cost model and maintaining the instruction / memory-reference
 // counters. Supports suspend/resume so that a simulated thread can block in a
-// trap and be continued later, and an interrupt poll so device interrupts can
-// preempt execution at instruction boundaries.
+// trap and be continued later.
 //
-// Run() tallies in locals and publishes the counters (and current_pc()) at
-// three boundaries: before every trap-handler call, before every interrupt
-// poll, and on every exit. Host code only runs at those points, so a trap
-// handler, a nested Call or a Stopwatch always sees every earlier instruction
-// billed exactly once.
+// Between two host boundaries, a trap-handler call and an exit, only Run()
+// touches the machine, so it keeps in locals what its loop reads and writes:
+// pc, this run's tallies, the 16 registers, the condition-code pair, the
+// memory base and size, and the supervisor and tracing flags. It publishes
+// the tallies, registers, condition codes and current_pc() to the machine
+// before every trap-handler call and on every exit, and reloads the machine
+// state after the handler returns. So a trap handler, a nested Call or a
+// Stopwatch always sees every earlier instruction billed exactly once and
+// the registers those instructions wrote, and whatever the handler changes
+// (registers, condition codes, memory, the supervisor flag, tracing) holds
+// from the next instruction on. Host code must not touch the machine between
+// those boundaries.
 #ifndef SRC_MACHINE_EXECUTOR_H_
 #define SRC_MACHINE_EXECUTOR_H_
 
@@ -25,7 +31,6 @@ enum class RunOutcome {
   kHalted,       // executed kHalt
   kReturned,     // kRts with an empty call stack: the entry block returned
   kBlocked,      // a trap handler asked to suspend; Resume() retries the trap
-  kInterrupted,  // the interrupt poll fired; Resume() continues
   kFault,        // bus error / bad block / bad opcode / stack underflow
   kStepLimit,    // max_steps exhausted; Resume() continues
 };
@@ -57,8 +62,6 @@ enum class TrapAction {
 };
 
 using TrapHandler = std::function<TrapAction(int vector, Machine& machine)>;
-// Polled before each instruction; returning true suspends with kInterrupted.
-using InterruptPoll = std::function<bool()>;
 
 class Executor {
  public:
@@ -66,7 +69,6 @@ class Executor {
       : machine_(machine), store_(store) {}
 
   void SetTrapHandler(TrapHandler handler) { trap_handler_ = std::move(handler); }
-  void SetInterruptPoll(InterruptPoll poll) { interrupt_poll_ = std::move(poll); }
 
   // One-shot convenience: Start + Run to completion. Re-entrant: when called
   // from a trap handler while a session is active (interrupt-level services
@@ -94,15 +96,13 @@ class Executor {
 
   RunResult Finish(RunResult r, RunOutcome outcome) {
     r.outcome = outcome;
-    active_ = outcome == RunOutcome::kBlocked || outcome == RunOutcome::kInterrupted ||
-              outcome == RunOutcome::kStepLimit;
+    active_ = outcome == RunOutcome::kBlocked || outcome == RunOutcome::kStepLimit;
     return r;
   }
 
   Machine& machine_;
   const CodeStore& store_;
   TrapHandler trap_handler_;
-  InterruptPoll interrupt_poll_;
 
   std::vector<Frame> frames_;
   BlockId block_ = kInvalidBlock;

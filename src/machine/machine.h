@@ -90,13 +90,6 @@ class Machine {
   bool supervisor() const { return supervisor_; }
   void set_supervisor(bool s) { supervisor_ = s; }
 
-  bool AccessOk(Addr addr, size_t len) const {
-    if (!memory_.InRange(addr, len)) {
-      return false;
-    }
-    return supervisor_ || filter_.Permits(addr, len);
-  }
-
   // --- Execution trace ----------------------------------------------------------
   void set_tracing(bool on) { tracing_ = on; }
   bool tracing() const { return tracing_; }

@@ -21,9 +21,7 @@ using Addr = uint32_t;
 // Storage for simulated memory: calloc'd, and never value-initialized on top,
 // so the host hands out zero pages on first touch and a large simulated
 // memory costs resident host memory only for the pages the simulation uses.
-// Memory stays a std::vector over it, so the accessors the executor's hot
-// loop inlines compile exactly as before (that loop's host speed moves with
-// small changes to its code; ROADMAP item 6).
+// Memory is a std::vector over it.
 template <typename T>
 struct ZeroPageAllocator {
   using value_type = T;
@@ -58,22 +56,31 @@ class Memory {
     return static_cast<uint64_t>(addr) + len <= bytes_.size();
   }
 
-  uint8_t Read8(Addr addr) const { return bytes_[addr]; }
-  uint16_t Read16(Addr addr) const {
-    return static_cast<uint16_t>(bytes_[addr] | (bytes_[addr + 1] << 8));
+  uint8_t Read8(Addr addr) const { return Read8(data(), addr); }
+  uint16_t Read16(Addr addr) const { return Read16(data(), addr); }
+  uint32_t Read32(Addr addr) const { return Read32(data(), addr); }
+
+  void Write8(Addr addr, uint8_t v) { Write8(data(), addr, v); }
+  void Write16(Addr addr, uint16_t v) { Write16(data(), addr, v); }
+  void Write32(Addr addr, uint32_t v) { Write32(data(), addr, v); }
+
+  // The same accessors over a base pointer, for a loop that keeps data() in a
+  // local between host boundaries (Executor::Run). No range check.
+  static uint8_t Read8(const uint8_t* base, Addr addr) { return base[addr]; }
+  static uint16_t Read16(const uint8_t* base, Addr addr) {
+    return static_cast<uint16_t>(base[addr] | (base[addr + 1] << 8));
   }
-  uint32_t Read32(Addr addr) const {
+  static uint32_t Read32(const uint8_t* base, Addr addr) {
     uint32_t v;
-    std::memcpy(&v, &bytes_[addr], 4);
+    std::memcpy(&v, base + addr, 4);
     return v;
   }
-
-  void Write8(Addr addr, uint8_t v) { bytes_[addr] = v; }
-  void Write16(Addr addr, uint16_t v) {
-    bytes_[addr] = static_cast<uint8_t>(v);
-    bytes_[addr + 1] = static_cast<uint8_t>(v >> 8);
+  static void Write8(uint8_t* base, Addr addr, uint8_t v) { base[addr] = v; }
+  static void Write16(uint8_t* base, Addr addr, uint16_t v) {
+    base[addr] = static_cast<uint8_t>(v);
+    base[addr + 1] = static_cast<uint8_t>(v >> 8);
   }
-  void Write32(Addr addr, uint32_t v) { std::memcpy(&bytes_[addr], &v, 4); }
+  static void Write32(uint8_t* base, Addr addr, uint32_t v) { std::memcpy(base + addr, &v, 4); }
 
   // Bulk access for host-side device models and loaders.
   void WriteBytes(Addr addr, const void* src, size_t len) {
@@ -85,6 +92,8 @@ class Memory {
 
   uint8_t* raw(Addr addr) { return &bytes_[addr]; }
   const uint8_t* raw(Addr addr) const { return &bytes_[addr]; }
+  uint8_t* data() { return bytes_.data(); }
+  const uint8_t* data() const { return bytes_.data(); }
 
  private:
   std::vector<uint8_t, ZeroPageAllocator<uint8_t>> bytes_;

@@ -1,6 +1,7 @@
 #include "src/net/stream.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -433,6 +434,21 @@ const std::vector<std::string>& SegmentProcessorHoles() {
   return kHoles;
 }
 
+namespace {
+
+// Each shape is assembled once, and its template shared by every NIC's
+// preparation of it.
+const std::shared_ptr<const CodeTemplate>& SharedProcessorTemplate(ProcShape shape) {
+  static const std::array<std::shared_ptr<const CodeTemplate>, 3> kShapes = {
+      std::make_shared<const CodeTemplate>(SegmentProcessorTemplate(ProcShape::kPreEstablish)),
+      std::make_shared<const CodeTemplate>(SegmentProcessorTemplate(ProcShape::kEstablished)),
+      std::make_shared<const CodeTemplate>(SegmentProcessorTemplate(ProcShape::kHot)),
+  };
+  return kShapes[static_cast<size_t>(shape)];
+}
+
+}  // namespace
+
 // Each shape is optimized once per NIC: the owning demux's checksum block
 // (inlined by Collapsing Layers) and reject counters are its fixed holes.
 const PreparedTemplate& StreamLayer::PreparedProcFor(uint32_t nic_idx,
@@ -449,7 +465,7 @@ const PreparedTemplate& StreamLayer::PreparedProcFor(uint32_t nic_idx,
     opts.live_out |= (1u << kD0) | (1u << kD1) | (1u << kD2);
     it = proc_prep_
              .emplace(key, kernel_.synthesizer().Prepare(
-                               SegmentProcessorTemplate(shape), fixed,
+                               SharedProcessorTemplate(shape), fixed,
                                SegmentProcessorHoles(), opts))
              .first;
   }
@@ -545,12 +561,23 @@ StreamStats StreamLayer::Ended::Stats() const {
   return s;
 }
 
-const StreamLayer::Ended* StreamLayer::EndedOf(ConnId id) const {
+std::optional<StreamLayer::Ended> StreamLayer::EndedOf(ConnId id) const {
   if (id == kBadConn || id > ended_.size() ||
       ended_[id - 1].state == CcbLayout::kClosed) {
-    return nullptr;
+    return std::nullopt;
   }
-  return &ended_[id - 1];
+  const EndedSlot& slot = ended_[id - 1];
+  if (slot.sender == kFullRecord) {
+    return ended_full_.at(id);
+  }
+  Ended e;
+  e.rto_us = ended_senders_[slot.sender].rto_us;
+  e.cwnd = ended_senders_[slot.sender].cwnd;
+  e.accepted_segments = slot.accepted_segments;
+  e.rcv_nxt = slot.rcv_nxt;
+  e.local_port = slot.local_port;
+  e.state = slot.state;
+  return e;
 }
 
 void StreamLayer::CompactReclaimed() {
@@ -568,7 +595,24 @@ void StreamLayer::CompactReclaimed() {
     if (ended_.size() < id) {
       ended_.resize(id);
     }
-    ended_[id - 1] = c.ended;
+    const Ended& e = c.ended;
+    EndedSlot& slot = ended_[id - 1];
+    slot = EndedSlot{e.rcv_nxt, e.accepted_segments, e.local_port, e.state};
+    if (e.retransmits == 0 && e.timeouts == 0 && e.fast_retransmits == 0 &&
+        e.dup_acks == 0 && e.out_of_order == 0 && !e.degraded) {
+      auto same = std::find_if(
+          ended_senders_.begin(), ended_senders_.end(),
+          [&e](const EndedSender& s) { return s.rto_us == e.rto_us && s.cwnd == e.cwnd; });
+      if (same == ended_senders_.end() && ended_senders_.size() < kFullRecord) {
+        same = ended_senders_.insert(same, EndedSender{e.rto_us, e.cwnd});
+      }
+      if (same != ended_senders_.end()) {
+        slot.sender = static_cast<uint8_t>(same - ended_senders_.begin());
+      }
+    }
+    if (slot.sender == kFullRecord) {
+      ended_full_.emplace(id, e);
+    }
     conns_.erase(it);
   }
   reclaimed_.resize(kept);
@@ -1712,8 +1756,8 @@ int32_t StreamLayer::Recv(ConnId conn, Addr buf, uint32_t cap) {
 int32_t StreamLayer::RecvSpan(ConnId conn, Addr buf, uint32_t cap) {
   Conn* c = Get(conn);
   if (c == nullptr) {
-    const Ended* e = EndedOf(conn);
-    return e == nullptr || e->state == CcbLayout::kFailed ? kIoError : 0;
+    const std::optional<Ended> e = EndedOf(conn);
+    return !e || e->state == CcbLayout::kFailed ? kIoError : 0;
   }
   if (c->state == CcbLayout::kFailed) {
     return kIoError;
@@ -1782,8 +1826,8 @@ StreamStats StreamLayer::Stats(ConnId conn) const {
   const Conn* c = Get(conn);
   StreamStats s;
   if (c == nullptr) {
-    const Ended* e = EndedOf(conn);
-    return e == nullptr ? s : e->Stats();
+    const std::optional<Ended> e = EndedOf(conn);
+    return e ? e->Stats() : s;
   }
   if (c->reclaimed) {
     return c->ended.Stats();
@@ -1806,16 +1850,16 @@ uint32_t StreamLayer::StateOf(ConnId conn) const {
   if (const Conn* c = Get(conn)) {
     return c->state;
   }
-  const Ended* e = EndedOf(conn);
-  return e == nullptr ? CcbLayout::kClosed : e->state;
+  const std::optional<Ended> e = EndedOf(conn);
+  return e ? e->state : CcbLayout::kClosed;
 }
 
 uint16_t StreamLayer::PortOf(ConnId conn) const {
   if (const Conn* c = Get(conn)) {
     return c->local_port;
   }
-  const Ended* e = EndedOf(conn);
-  return e == nullptr ? 0 : e->local_port;
+  const std::optional<Ended> e = EndedOf(conn);
+  return e ? e->local_port : 0;
 }
 
 Addr StreamLayer::CcbOf(ConnId conn) const {
@@ -1842,8 +1886,8 @@ bool StreamLayer::DegradedOf(ConnId conn) const {
   if (const Conn* c = Get(conn)) {
     return c->reclaimed ? c->ended.degraded : kernel_.spec().DegradedOf(c->spec);
   }
-  const Ended* e = EndedOf(conn);
-  return e != nullptr && e->degraded;
+  const std::optional<Ended> e = EndedOf(conn);
+  return e && e->degraded;
 }
 
 }  // namespace synthesis

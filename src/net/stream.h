@@ -74,6 +74,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -337,10 +338,9 @@ class StreamLayer {
   // A reclaimed connection's post-mortem record: what the accessors still
   // answer once its kernel resources are gone. ReclaimConn fills it; the
   // next Listen/Connect compacts the full Conn (its deques and wait queue
-  // keep ~2.5 KB of heap nodes even when empty) down to this record alone,
-  // so connection churn grows host memory by 48 bytes per connection ever
-  // opened. The host counters narrow with saturation; the CCB counters are
-  // 32-bit words already.
+  // keep ~2.5 KB of heap nodes even when empty) down to an EndedSlot. The
+  // host counters narrow with saturation; the CCB counters are 32-bit words
+  // already.
   struct Ended {
     double rto_us = 0;
     uint32_t retransmits = 0;
@@ -357,7 +357,27 @@ class StreamLayer {
 
     StreamStats Stats() const;  // widened back
   };
-  static_assert(sizeof(Ended) <= 48, "an ended connection costs <= 48 bytes");
+  static_assert(sizeof(Ended) <= 48, "a full post-mortem record costs <= 48 bytes");
+
+  // What a compacted connection keeps per ConnId ever opened. A connection
+  // that ended clean (no retransmit, timeout, fast retransmit, dup ack or
+  // out-of-order segment, and not degraded) keeps only what differs between
+  // such connections: its (rto_us, cwnd) pair is an index into the short
+  // table ended_senders_. Any other connection, or one arriving when that
+  // table is full, keeps its full record in ended_full_.
+  static constexpr uint8_t kFullRecord = 0xff;
+  struct EndedSlot {
+    uint32_t rcv_nxt = 0;
+    uint32_t accepted_segments = 0;
+    uint16_t local_port = 0;
+    uint8_t state = CcbLayout::kClosed;  // kClosed: no record (live or never)
+    uint8_t sender = kFullRecord;        // index into ended_senders_
+  };
+  static_assert(sizeof(EndedSlot) == 12, "a compacted connection costs 12 bytes");
+  struct EndedSender {
+    double rto_us = 0;
+    uint32_t cwnd = 0;
+  };
 
   struct Conn {
     ConnId id = 0;
@@ -419,8 +439,9 @@ class StreamLayer {
 
   Conn* Get(ConnId id);
   const Conn* Get(ConnId id) const;
-  const Ended* EndedOf(ConnId id) const;
-  // Moves reclaimed records whose last alarm has landed into ended_. Runs
+  // The compacted record of `id`, rebuilt; nullopt when it has none.
+  std::optional<Ended> EndedOf(ConnId id) const;
+  // Compacts reclaimed records whose last alarm has landed into ended_. Runs
   // only at the top of NewConn, where no Conn reference is live.
   void CompactReclaimed();
   ConnId NewConn(uint16_t local_port, uint16_t peer_port, uint32_t state,
@@ -514,7 +535,9 @@ class StreamLayer {
   uint32_t sweep_stretch_ = 1;
   std::map<ConnId, Conn> conns_;
   std::vector<ConnId> reclaimed_;  // reclaimed records not yet compacted
-  std::deque<Ended> ended_;        // indexed by ConnId - 1
+  std::deque<EndedSlot> ended_;    // indexed by ConnId - 1
+  std::vector<EndedSender> ended_senders_;  // < kFullRecord entries
+  std::map<ConnId, Ended> ended_full_;
   ConnId next_id_ = 1;
   uint16_t eph_base_ = kEphemeralBase;
   uint16_t eph_hi_ = 65535;

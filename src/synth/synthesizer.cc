@@ -351,23 +351,24 @@ CodeBlock Synthesizer::Specialize(const CodeTemplate& tmpl, const Bindings& bind
   return out;
 }
 
-PreparedTemplate Synthesizer::Prepare(CodeTemplate tmpl, const Bindings& fixed,
+PreparedTemplate Synthesizer::Prepare(std::shared_ptr<const CodeTemplate> tmpl,
+                                      const Bindings& fixed,
                                       const std::vector<std::string>& opaque,
                                       const SynthesisOptions& options) const {
   PreparedTemplate p;
   p.fixed_ = fixed;
   p.opaque_ = opaque;
   p.options_ = options;
-  std::vector<Instr> code = tmpl.block.code;
+  std::vector<Instr> code = tmpl->block.code;
   Opaque opq;
   opq.slot.assign(code.size(), -1);
-  for (const SymUse& use : tmpl.holes) {
+  for (const SymUse& use : tmpl->holes) {
     Instr& in = code[use.index];
     auto it = std::find(opaque.begin(), opaque.end(), use.name);
     if (it == opaque.end()) {
       if (!fixed.Has(use.name)) {
         std::fprintf(stderr, "Synthesizer: template '%s' hole '%s' neither fixed nor opaque\n",
-                     tmpl.block.name.c_str(), use.name.c_str());
+                     tmpl->block.name.c_str(), use.name.c_str());
         std::abort();
       }
       in.imm = fixed.Get(use.name);
@@ -408,7 +409,7 @@ CodeBlock Synthesizer::Instantiate(const PreparedTemplate& p,
                                    const std::string& output_name) const {
   if (values.size() != p.opaque_.size()) {
     std::fprintf(stderr, "Synthesizer: template '%s' has %zu opaque holes, got %zu values\n",
-                 p.tmpl_.block.name.c_str(), p.opaque_.size(), values.size());
+                 p.tmpl_->block.name.c_str(), p.opaque_.size(), values.size());
     std::abort();
   }
   if (p.declined_ || p.Trips(values)) {
@@ -416,9 +417,9 @@ CodeBlock Synthesizer::Instantiate(const PreparedTemplate& p,
     for (size_t i = 0; i < values.size(); i++) {
       bindings.Set(p.opaque_[i], values[i]);
     }
-    return Specialize(p.tmpl_, bindings, nullptr, p.options_, stats, output_name);
+    return Specialize(*p.tmpl_, bindings, nullptr, p.options_, stats, output_name);
   }
-  CodeBlock out{output_name.empty() ? p.tmpl_.block.name + "$synth" : output_name,
+  CodeBlock out{output_name.empty() ? p.tmpl_->block.name + "$synth" : output_name,
                 p.code_};
   for (const PreparedTemplate::Patch& patch : p.patches_) {
     out.code[patch.index].imm = values[patch.slot];

@@ -47,6 +47,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -172,9 +173,10 @@ class PreparedTemplate {
     uint32_t slot;
   };
 
-  // The full path's input: Specialize(tmpl_, fixed_ plus opaque_[i] bound
-  // to values[i], no invariants, options_).
-  CodeTemplate tmpl_;
+  // The full path's input: Specialize(*tmpl_, fixed_ plus opaque_[i] bound
+  // to values[i], no invariants, options_). The template is shared with
+  // every other preparation of it.
+  std::shared_ptr<const CodeTemplate> tmpl_;
   Bindings fixed_;
   std::vector<std::string> opaque_;
   SynthesisOptions options_;
@@ -199,10 +201,17 @@ class Synthesizer {
 
   // Optimizes `tmpl` once with the holes in `fixed` bound and the holes named
   // in `opaque` left opaque; slot i of every instance is `opaque[i]`. Every
-  // hole must be in one of the two; a hole named in both is opaque.
-  PreparedTemplate Prepare(CodeTemplate tmpl, const Bindings& fixed,
+  // hole must be in one of the two; a hole named in both is opaque. The
+  // prepared template keeps `tmpl` for its full path, shared.
+  PreparedTemplate Prepare(std::shared_ptr<const CodeTemplate> tmpl, const Bindings& fixed,
                            const std::vector<std::string>& opaque,
                            const SynthesisOptions& options) const;
+  PreparedTemplate Prepare(CodeTemplate tmpl, const Bindings& fixed,
+                           const std::vector<std::string>& opaque,
+                           const SynthesisOptions& options) const {
+    return Prepare(std::make_shared<const CodeTemplate>(std::move(tmpl)), fixed, opaque,
+                   options);
+  }
 
   // One instance of `prepared`, with values[i] bound to opaque slot i: equal
   // to Specialize(template, fixed + values, no invariants, the prepared

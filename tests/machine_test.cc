@@ -271,6 +271,52 @@ TEST_F(MachineTest, NestedCallFromTrapBillsBothSessionsOnce) {
   EXPECT_EQ(sw.mem_refs(), 6u);
 }
 
+// Run keeps the machine state its loop touches in locals between host
+// boundaries. A trap handler must see what earlier instructions left, and
+// the run must see everything the handler changed from the next instruction
+// on: condition codes, registers, the supervisor flag and tracing.
+TEST_F(MachineTest, TrapHandlerStateCrossesTheBoundaryBothWays) {
+  m_.address_filter().Allow(AddrRange{0x1000, 0x2000});
+  uint32_t seen[4] = {};
+  exec_.SetTrapHandler([&](int, Machine& m) {
+    seen[0] = m.reg(kD0);
+    seen[1] = m.reg(kD1);
+    seen[2] = m.cc_lhs();
+    seen[3] = m.cc_rhs();
+    m.set_reg(kA0, 0x1800);  // inside the filter
+    m.set_reg(kA1, 0x2800);  // outside it
+    m.SetCc(7, 7);           // "equal"; the run's own cc read (11, 5)
+    m.set_supervisor(false);
+    m.set_tracing(true);
+    return TrapAction::kContinue;
+  });
+  Asm a("boundary");
+  a.MoveI(kD0, 11).MoveI(kD1, 22).CmpI(kD0, 5).Trap(3);
+  a.Beq("equal").MoveI(kD4, 1);  // runs only under the stale condition codes
+  a.Label("equal").Store32(kA0, kD1, 0).Store32(kA1, kD1, 0).Rts();
+  store_.Install(a.BuildBlock());
+  RunResult r = exec_.Call(1);
+
+  EXPECT_EQ(seen[0], 11u);
+  EXPECT_EQ(seen[1], 22u);
+  EXPECT_EQ(seen[2], 11u);
+  EXPECT_EQ(seen[3], 5u);
+  EXPECT_EQ(m_.reg(kD4), 0u);  // beq followed the handler's condition codes
+  EXPECT_EQ(m_.memory().Read32(0x1800), 22u);
+  EXPECT_EQ(r.outcome, RunOutcome::kFault);
+  EXPECT_EQ(r.fault, FaultKind::kBusError);
+  EXPECT_EQ(r.fault_addr, 0x2800u);
+  // Traced from the branch on: beq (taken, 6), the store (7), and the
+  // faulting store, charged nothing.
+  ASSERT_EQ(m_.trace().size(), 3u);
+  EXPECT_EQ(m_.trace()[0].instr.op, Opcode::kBeq);
+  EXPECT_EQ(m_.trace()[0].cycles, 6u);
+  EXPECT_EQ(m_.trace()[1].instr.op, Opcode::kStore32);
+  EXPECT_EQ(m_.trace()[1].cycles, 7u);
+  EXPECT_EQ(m_.trace()[2].pc, 7u);
+  EXPECT_EQ(m_.trace()[2].cycles, 0u);
+}
+
 TEST_F(MachineTest, TrapBlockAndResumeRetriesTrap) {
   int calls = 0;
   exec_.SetTrapHandler([&](int vec, Machine&) {
@@ -317,25 +363,6 @@ TEST_F(MachineTest, QuaspaceProtectionFaultsInUserMode) {
   m_.set_supervisor(true);
   r = exec_.Call(1);
   EXPECT_EQ(r.outcome, RunOutcome::kReturned);
-}
-
-TEST_F(MachineTest, InterruptPollSuspendsAndResumes) {
-  int countdown = 3;
-  exec_.SetInterruptPoll([&] { return --countdown == 0; });
-  Asm a("work");
-  for (int i = 0; i < 10; i++) {
-    a.AddI(kD0, 1);
-  }
-  a.Rts();
-  store_.Install(a.BuildBlock());
-  exec_.Start(1);
-  RunResult r = exec_.Run();
-  EXPECT_EQ(r.outcome, RunOutcome::kInterrupted);
-  EXPECT_EQ(m_.reg(kD0), 2u);
-  countdown = 1000;
-  r = exec_.Run();
-  EXPECT_EQ(r.outcome, RunOutcome::kReturned);
-  EXPECT_EQ(m_.reg(kD0), 10u);
 }
 
 TEST_F(MachineTest, StepLimitIsResumable) {

@@ -896,17 +896,48 @@ TEST_F(StreamTest, ConnectionChurnReclaimsProcessorsAndMemory) {
 // A reclaimed connection's full host record is compacted at the next open;
 // every accessor must answer exactly as it did before.
 TEST_F(StreamTest, ReclaimedConnectionAnswersTheSameAfterCompaction) {
-  ConnId srv = st_.Listen(80);
-  ConnId cli = st_.Connect(80);
   Addr buf = k_.allocator().Allocate(64);
+  // Every connection opens before any closes: the next Listen/Connect
+  // compacts whatever is reclaimed by then.
+  // Two clean pairs under configs whose timers and windows differ, so their
+  // compacted slots index two different (rto_us, cwnd) entries.
+  StreamConfig other;
+  other.rto_base_us = 6000;
+  other.window_segments = 4;
+  const ConnId srv = st_.Listen(80);
+  const ConnId cli = st_.Connect(80);
+  const ConnId srv2 = st_.Listen(82, other);
+  const ConnId cli2 = st_.Connect(82, other);
+  // A connection that ends with retransmits, dup acks and an out-of-order
+  // segment keeps its full record: a fake peer on port 91 handshakes, sends
+  // a segment from the future, dup-acks the server's data three times (a
+  // fast retransmit) and goes silent until the server gives up.
+  StreamConfig lossy;
+  lossy.max_retries = 2;
+  const ConnId lost = st_.Listen(90, lossy);
+  InjectSeg(90, 91, 0, 0, StreamSeg::kFlagSyn, "");
+  InjectSeg(90, 91, 1, 1, StreamSeg::kFlagAck, "");
   k_.Run();
-  ASSERT_EQ(st_.Send(cli, buf, 48), 48);
-  ASSERT_TRUE(st_.Close(cli));
+  ASSERT_EQ(st_.StateOf(lost), CcbLayout::kEstablished);
+  for (ConnId c : {cli, cli2}) {
+    ASSERT_EQ(st_.Send(c, buf, 48), 48);
+    ASSERT_TRUE(st_.Close(c));
+  }
   k_.Run();
-  ASSERT_EQ(st_.Recv(srv, buf, 64), 48);
-  ASSERT_EQ(st_.Recv(srv, buf, 64), 0);
-  ASSERT_TRUE(st_.Close(srv));
-  k_.Run();
+  for (ConnId s : {srv, srv2}) {
+    ASSERT_EQ(st_.Recv(s, buf, 64), 48);
+    ASSERT_EQ(st_.Recv(s, buf, 64), 0);
+    ASSERT_TRUE(st_.Close(s));
+  }
+  InjectSeg(90, 91, 100, 1, StreamSeg::kFlagAck, "zzzz");
+  ASSERT_EQ(st_.Send(lost, buf, 4), 4);
+  for (int i = 0; i < 3; i++) {
+    InjectSeg(90, 91, 1, 1, StreamSeg::kFlagAck, "");
+  }
+  k_.Run(5'000'000);
+  ASSERT_EQ(st_.StateOf(lost), CcbLayout::kFailed);
+  const std::vector<ConnId> ids = {cli, srv, cli2, srv2, lost};
+
   struct View {
     StreamStats stats;
     uint32_t state;
@@ -924,14 +955,24 @@ TEST_F(StreamTest, ReclaimedConnectionAnswersTheSameAfterCompaction) {
     EXPECT_EQ(st_.SpecOf(id), kBadSpec);
     return v;
   };
-  const View before[2] = {view(cli), view(srv)};
+  std::vector<View> before;
+  for (ConnId id : ids) {
+    before.push_back(view(id));
+  }
   ASSERT_EQ(before[0].state, CcbLayout::kDone);
   ASSERT_GT(before[1].stats.accepted_segments, 0u);
+  ASSERT_TRUE(before[0].stats.rto_us != before[2].stats.rto_us ||
+              before[0].stats.cwnd != before[2].stats.cwnd);
+  ASSERT_GT(before[4].stats.retransmits, 0u);
+  ASSERT_GT(before[4].stats.fast_retransmits, 0u);
+  ASSERT_GT(before[4].stats.timeouts, 0u);
+  ASSERT_GT(before[4].stats.dup_acks, 0u);
+  ASSERT_GT(before[4].stats.out_of_order, 0u);
   ASSERT_NE(st_.Listen(81), kBadConn);  // compacts the reclaimed records
-  const View after[2] = {view(cli), view(srv)};
-  for (int i = 0; i < 2; i++) {
+  for (size_t i = 0; i < ids.size(); i++) {
+    const View after = view(ids[i]);
     const StreamStats& a = before[i].stats;
-    const StreamStats& b = after[i].stats;
+    const StreamStats& b = after.stats;
     EXPECT_EQ(a.retransmits, b.retransmits);
     EXPECT_EQ(a.timeouts, b.timeouts);
     EXPECT_EQ(a.fast_retransmits, b.fast_retransmits);
@@ -942,12 +983,12 @@ TEST_F(StreamTest, ReclaimedConnectionAnswersTheSameAfterCompaction) {
     EXPECT_EQ(a.cwnd, b.cwnd);
     EXPECT_EQ(a.state, b.state);
     EXPECT_EQ(a.rcv_nxt, b.rcv_nxt);
-    EXPECT_EQ(before[i].state, after[i].state);
-    EXPECT_EQ(before[i].port, after[i].port);
-    EXPECT_EQ(before[i].degraded, after[i].degraded);
-    EXPECT_EQ(before[i].send, after[i].send);
-    EXPECT_EQ(before[i].recv, after[i].recv);
-    EXPECT_EQ(before[i].close, after[i].close);
+    EXPECT_EQ(before[i].state, after.state);
+    EXPECT_EQ(before[i].port, after.port);
+    EXPECT_EQ(before[i].degraded, after.degraded);
+    EXPECT_EQ(before[i].send, after.send);
+    EXPECT_EQ(before[i].recv, after.recv);
+    EXPECT_EQ(before[i].close, after.close);
   }
 }
 
