@@ -118,6 +118,19 @@ done
 # injected kCodeInstall refusal must fall back — then complete after disarm.
 (cd "$BUILD_DIR" && ./bench/table15_adapt > /dev/null)
 
+# Golden gate for the paper tables: every BENCH_*.json the benches above wrote
+# must match its committed copy in bench/golden/ byte for byte (diff -u shows
+# what moved). ablation_queues has no golden: its rows are host-timed. An
+# armed fault plane moves simulated numbers, so the gate is skipped while
+# SYNTHESIS_FAULTS is set (FAULTS=1). A change that moves a table number on
+# purpose copies the new files over the goldens in the same commit.
+if [[ -z "${SYNTHESIS_FAULTS:-}" ]]; then
+  for golden in bench/golden/BENCH_*.json; do
+    diff -u "$golden" "$BUILD_DIR/$(basename "$golden")" \
+      || { echo "verify: $(basename "$golden") moved from $golden" >&2; exit 1; }
+  done
+fi
+
 # Example smoke (well under 1 s together): every example binary must exit 0.
 # net_echo exits 1 if any payload is lost; c10k_server drives the
 # degrade-then-resynthesize ladder and exits 1 if any of its checks fails.

@@ -429,7 +429,7 @@ ThreadId Kernel::UnblockOne(WaitQueue& wq) {
     return kNoThread;
   }
   ThreadId tid = wq.waiters_.front();
-  wq.waiters_.pop_front();
+  wq.waiters_.erase(wq.waiters_.begin());
   ThreadRec* r = Rec(tid);
   if (r == nullptr) {
     return kNoThread;

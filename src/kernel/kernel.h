@@ -39,7 +39,9 @@ using ThreadId = uint32_t;
 inline constexpr ThreadId kNoThread = 0;
 
 // A resource's private wait queue (§4.1: "each resource has its own waiting
-// queue" — there is no global blocked queue to scan).
+// queue" — there is no global blocked queue to scan). FIFO: the oldest waiter
+// wakes first. A vector, not a deque: an empty one allocates nothing, and
+// every live stream connection holds three, almost always empty.
 class WaitQueue {
  public:
   bool Empty() const { return waiters_.empty(); }
@@ -47,7 +49,7 @@ class WaitQueue {
 
  private:
   friend class Kernel;
-  std::deque<ThreadId> waiters_;
+  std::vector<ThreadId> waiters_;
 };
 
 class Kernel {

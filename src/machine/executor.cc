@@ -1,8 +1,67 @@
 #include "src/machine/executor.h"
 
+#include <span>
+
 namespace synthesis {
 
 namespace {
+
+// A byte loop's pattern: per instruction, its opcode and the roles its rd and
+// rs fields play (kAny: the field is unused).
+enum Role : uint8_t { kCount, kByte, kSrc, kSum, kDst, kHead, kNumRoles, kAny = kNumRoles };
+
+struct LoopSlot {
+  Opcode op;
+  Role rd = kAny;
+  Role rs = kAny;
+};
+
+constexpr LoopSlot kCsumLoop[kCsumLoopLength] = {
+    {Opcode::kTst, kCount},       {Opcode::kBeq},         {Opcode::kLoad8, kByte, kSrc},
+    {Opcode::kAdd, kSum, kByte},  {Opcode::kAddI, kSrc},  {Opcode::kSubI, kCount},
+    {Opcode::kBra},
+};
+
+constexpr LoopSlot kRingCopyLoop[kRingCopyLoopLength] = {
+    {Opcode::kTst, kCount},        {Opcode::kBeq},          {Opcode::kLoad8, kByte, kSrc},
+    {Opcode::kLea, kDst, kHead},   {Opcode::kStore8, kDst, kByte},
+    {Opcode::kAddI, kHead},        {Opcode::kAndI, kHead},  {Opcode::kAddI, kSrc},
+    {Opcode::kSubI, kCount},       {Opcode::kBra},
+};
+
+// True if the code at pc follows `pattern`, each role held by one register,
+// distinct roles by distinct registers below kNumRegisters, and the last
+// instruction (the bra) branches back to pc.
+bool MatchesLoop(std::span<const LoopSlot> pattern, const CodeBlock& blk, uint32_t pc) {
+  if (blk.code.size() < size_t{pc} + pattern.size()) {
+    return false;
+  }
+  uint8_t reg_of[kNumRoles] = {};
+  bool bound[kNumRoles] = {};
+  uint32_t used = 0;  // registers already holding a role
+  auto bind = [&](Role role, uint8_t reg) {
+    if (role == kAny) {
+      return true;
+    }
+    if (bound[role]) {
+      return reg_of[role] == reg;
+    }
+    if (reg >= kNumRegisters || (used >> reg & 1) != 0) {
+      return false;
+    }
+    bound[role] = true;
+    reg_of[role] = reg;
+    used |= 1u << reg;
+    return true;
+  };
+  for (size_t i = 0; i < pattern.size(); i++) {
+    const Instr& in = blk.code[pc + i];
+    if (in.op != pattern[i].op || !bind(pattern[i].rd, in.rd) || !bind(pattern[i].rs, in.rs)) {
+      return false;
+    }
+  }
+  return blk.code[pc + pattern.size() - 1].imm == static_cast<int32_t>(pc);
+}
 
 bool EvalBranch(Opcode op, uint32_t lhs, uint32_t rhs) {
   int32_t sl = static_cast<int32_t>(lhs);
@@ -29,7 +88,96 @@ bool EvalBranch(Opcode op, uint32_t lhs, uint32_t rhs) {
   }
 }
 
+// What a stretch of host-run byte-loop iterations did.
+struct ByteLoopStretch {
+  uint64_t iterations = 0;
+  uint32_t last_count = 0;  // what the last iteration's tst compared
+};
+
+// Runs up to `budget` whole iterations of the byte loop at `loop` (its length
+// `len` from ByteLoopLength) over `regs` as the interpreter would, charging
+// nothing. Stops at the loop's exit and before an iteration whose load or
+// store would fail its access check. Out of line, so that the loop's roles
+// and constants have the host's registers to themselves.
+__attribute__((noinline)) ByteLoopStretch RunByteLoop(const Instr* loop, uint32_t len,
+                                                      uint64_t budget, uint32_t* regs,
+                                                      uint8_t* mem, uint64_t mem_size,
+                                                      bool supervisor,
+                                                      const AddressFilter& filter) {
+  // Run's access_ok for a byte: the range check, then the quaspace filter in
+  // user mode.
+  auto ok = [&](Addr addr) {
+    return static_cast<uint64_t>(addr) + 1 <= mem_size &&
+           (supervisor || filter.Permits(addr, 1));
+  };
+  auto imm = [](const Instr& in) { return static_cast<uint32_t>(in.imm); };
+  ByteLoopStretch run;
+  uint32_t n = regs[loop[0].rd];
+  uint32_t byte = regs[loop[2].rd];
+  uint32_t src = regs[loop[2].rs];
+  const Addr src_disp = imm(loop[2]);
+  if (len == kCsumLoopLength) {
+    uint32_t sum = regs[loop[3].rd];
+    const uint32_t src_step = imm(loop[4]), n_step = imm(loop[5]);
+    for (; run.iterations < budget && n != 0; run.iterations++) {
+      const Addr from = src + src_disp;
+      if (!ok(from)) {
+        break;
+      }
+      run.last_count = n;
+      byte = Memory::Read8(mem, from);
+      sum += byte;
+      src += src_step;
+      n -= n_step;
+    }
+    regs[loop[3].rd] = sum;
+  } else {
+    uint32_t dst = regs[loop[3].rd];
+    uint32_t head = regs[loop[3].rs];
+    const uint32_t buf = imm(loop[3]), dst_disp = imm(loop[4]), head_step = imm(loop[5]);
+    const uint32_t mask = imm(loop[6]), src_step = imm(loop[7]), n_step = imm(loop[8]);
+    for (; run.iterations < budget && n != 0; run.iterations++) {
+      const Addr from = src + src_disp;
+      const Addr to = head + buf + dst_disp;
+      if (!ok(from) || !ok(to)) {
+        break;
+      }
+      run.last_count = n;
+      byte = Memory::Read8(mem, from);
+      dst = head + buf;
+      Memory::Write8(mem, to, static_cast<uint8_t>(byte));
+      head = (head + head_step) & mask;
+      src += src_step;
+      n -= n_step;
+    }
+    regs[loop[3].rd] = dst;
+    regs[loop[3].rs] = head;
+  }
+  regs[loop[0].rd] = n;
+  regs[loop[2].rd] = byte;
+  regs[loop[2].rs] = src;
+  return run;
+}
+
+// Both byte loops load their byte two instructions past the head, so a
+// tst-headed loop of another kind (a shift or count loop) is turned away here
+// without a call to the matcher.
+inline __attribute__((always_inline)) bool MayHeadByteLoop(const CodeBlock& blk, uint32_t pc) {
+  static_assert(kCsumLoop[2].op == kRingCopyLoop[2].op);
+  return size_t{pc} + 2 < blk.code.size() && blk.code[pc + 2].op == kCsumLoop[2].op;
+}
+
 }  // namespace
+
+uint32_t ByteLoopLength(const CodeBlock& blk, uint32_t pc) {
+  if (MatchesLoop(kCsumLoop, blk, pc)) {
+    return kCsumLoopLength;
+  }
+  if (MatchesLoop(kRingCopyLoop, blk, pc)) {
+    return kRingCopyLoopLength;
+  }
+  return 0;
+}
 
 RunResult Executor::Call(BlockId entry, uint64_t max_steps) {
   if (!active_) {
@@ -61,7 +209,9 @@ void Executor::Start(BlockId entry) {
   active_ = true;
 }
 
-RunResult Executor::Run(uint64_t max_steps) {
+// Cache-line aligned, so that where the linker places Run does not move its
+// hot loop across cache-line and fetch-block boundaries (ROADMAP item 6).
+__attribute__((aligned(64))) RunResult Executor::Run(uint64_t max_steps) {
   RunResult r;
   if (!active_) {
     r.fault = FaultKind::kBadBlock;
@@ -334,6 +484,31 @@ RunResult Executor::Run(uint64_t max_steps) {
         cc_rhs = static_cast<uint32_t>(in.imm);
         break;
       case Opcode::kTst:
+        if (!tracing && regs[in.rd] != 0 && MayHeadByteLoop(*blk, pc)) {
+          if (const uint32_t len = ByteLoopLength(*blk, pc); len != 0) {
+            // Whole iterations as host code (see executor.h); the iteration
+            // that would fault or pass max_steps, and the exit, are
+            // interpreted from the head.
+            const Instr* const loop = &blk->code[pc];
+            const ByteLoopStretch run =
+                RunByteLoop(loop, len, (max_steps - instrs) / len, regs, mem, mem_size,
+                            supervisor, machine_.address_filter());
+            if (run.iterations != 0) {
+              uint32_t iter_cycles = 0, iter_refs = 0;
+              for (uint32_t i = 0; i < len; i++) {
+                const CostRow& row = rows[static_cast<uint8_t>(loop[i].op)];
+                iter_cycles += row.cycles[i == len - 1];  // beq not taken, bra taken
+                iter_refs += row.refs;
+              }
+              instrs += run.iterations * len;
+              cycles += run.iterations * iter_cycles;
+              refs += run.iterations * iter_refs;
+              cc_lhs = run.last_count;
+              cc_rhs = 0;
+              continue;  // back at the head
+            }
+          }
+        }
         cc_lhs = regs[in.rd];
         cc_rhs = 0;
         break;

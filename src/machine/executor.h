@@ -15,6 +15,19 @@
 // (registers, condition codes, memory, the supervisor flag, tracing) holds
 // from the next instruction on. Host code must not touch the machine between
 // those boundaries.
+//
+// With tracing off, Run executes whole iterations of the two byte loops the
+// kernel synthesizes (ByteLoopLength: the checksum sum loop and the masked
+// ring copy) as host code over those locals. The paper's numbers are path
+// lengths times 68020 cycle costs, so every count stays exact: an iteration
+// adds the loop's length to the instruction count and the sum of its cost
+// rows (beq not taken, bra taken) to the cycles and references; its accesses
+// pass the same range and quaspace checks before it changes anything; bytes
+// move one at a time in program order; and the registers and condition codes
+// end as the interpreter leaves them. An iteration that would fault or pass
+// max_steps, and the loop's exit, are interpreted, so a run stops or faults at
+// the same instruction. A traced run interprets every instruction, so the
+// trace keeps one entry per instruction.
 #ifndef SRC_MACHINE_EXECUTOR_H_
 #define SRC_MACHINE_EXECUTOR_H_
 
@@ -62,6 +75,20 @@ enum class TrapAction {
 };
 
 using TrapHandler = std::function<TrapAction(int vector, Machine& machine)>;
+
+// The byte loops whose iterations Run executes as host code, by length.
+inline constexpr uint32_t kCsumLoopLength = 7;
+inline constexpr uint32_t kRingCopyLoopLength = 10;
+
+// The length of the byte loop a kTst at `pc` heads, or 0 if it heads none:
+//   checksum sum (CsumTemplate):
+//     tst n; beq; load8 t,d(p); add s,t; addi p,#; subi n,#; bra pc
+//   masked ring copy (the segment processor's byte copy):
+//     tst n; beq; load8 t,d(src); lea a,buf(h); store8 d'(a),t;
+//     addi h,#; andi h,#mask; addi src,#; subi n,#; bra pc
+// Only when the register roles are pairwise distinct and below kNumRegisters;
+// the immediates and the beq target are free.
+uint32_t ByteLoopLength(const CodeBlock& blk, uint32_t pc);
 
 class Executor {
  public:

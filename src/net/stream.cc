@@ -597,9 +597,12 @@ void StreamLayer::CompactReclaimed() {
     }
     const Ended& e = c.ended;
     EndedSlot& slot = ended_[id - 1];
-    slot = EndedSlot{e.rcv_nxt, e.accepted_segments, e.local_port, e.state};
+    slot = EndedSlot{};
+    slot.local_port = e.local_port;
+    slot.state = e.state;
     if (e.retransmits == 0 && e.timeouts == 0 && e.fast_retransmits == 0 &&
-        e.dup_acks == 0 && e.out_of_order == 0 && !e.degraded) {
+        e.dup_acks == 0 && e.out_of_order == 0 && !e.degraded &&
+        e.rcv_nxt <= UINT16_MAX && e.accepted_segments <= UINT16_MAX) {
       auto same = std::find_if(
           ended_senders_.begin(), ended_senders_.end(),
           [&e](const EndedSender& s) { return s.rto_us == e.rto_us && s.cwnd == e.cwnd; });
@@ -608,6 +611,8 @@ void StreamLayer::CompactReclaimed() {
       }
       if (same != ended_senders_.end()) {
         slot.sender = static_cast<uint8_t>(same - ended_senders_.begin());
+        slot.rcv_nxt = static_cast<uint16_t>(e.rcv_nxt);
+        slot.accepted_segments = static_cast<uint16_t>(e.accepted_segments);
       }
     }
     if (slot.sender == kFullRecord) {
@@ -1510,7 +1515,7 @@ void StreamLayer::HandleCtrl(Conn& c) {
           mem.Write32(c.ccb + CcbLayout::kSndUna, ack);
           if (!c.unacked.empty() &&
               (c.unacked.front().flags & StreamSeg::kFlagSyn)) {
-            c.unacked.pop_front();
+            c.unacked.erase(c.unacked.begin());
           }
           c.retries = 0;
           c.rto_us = c.cfg.rto_base_us;
@@ -1576,16 +1581,11 @@ void StreamLayer::HandleCtrl(Conn& c) {
 void StreamLayer::HandleAckAdvance(Conn& c) {
   Memory& mem = kernel_.machine().memory();
   uint32_t una = mem.Read32(c.ccb + CcbLayout::kSndUna);
-  bool advanced = false;
-  while (!c.unacked.empty()) {
-    const Seg& front = c.unacked.front();
-    if (SeqLeq(front.seq + front.Span(), una)) {
-      c.unacked.pop_front();
-      advanced = true;
-    } else {
-      break;
-    }
-  }
+  const auto first_unacked = std::find_if(
+      c.unacked.begin(), c.unacked.end(),
+      [una](const Seg& s) { return !SeqLeq(s.seq + s.Span(), una); });
+  const bool advanced = first_unacked != c.unacked.begin();
+  c.unacked.erase(c.unacked.begin(), first_unacked);
   if (advanced) {
     // Recovery: the retry budget and timeout reset, the window re-opens one
     // segment per ack (the inverse of the timeout halving).

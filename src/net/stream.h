@@ -337,8 +337,7 @@ class StreamLayer {
 
   // A reclaimed connection's post-mortem record: what the accessors still
   // answer once its kernel resources are gone. ReclaimConn fills it; the
-  // next Listen/Connect compacts the full Conn (its deques and wait queue
-  // keep ~2.5 KB of heap nodes even when empty) down to an EndedSlot. The
+  // next Listen/Connect compacts the full Conn down to an EndedSlot. The
   // host counters narrow with saturation; the CCB counters are 32-bit words
   // already.
   struct Ended {
@@ -361,19 +360,22 @@ class StreamLayer {
 
   // What a compacted connection keeps per ConnId ever opened. A connection
   // that ended clean (no retransmit, timeout, fast retransmit, dup ack or
-  // out-of-order segment, and not degraded) keeps only what differs between
-  // such connections: its (rto_us, cwnd) pair is an index into the short
-  // table ended_senders_. Any other connection, or one arriving when that
-  // table is full, keeps its full record in ended_full_.
+  // out-of-order segment, not degraded, and rcv_nxt and accepted_segments
+  // below 2^16) keeps only what differs between such connections: its
+  // (rto_us, cwnd) pair is an index into the short table ended_senders_. Any
+  // other connection, or one arriving when that table is full, keeps its full
+  // record in ended_full_, and its slot only its port and state. A slot is
+  // kept for every ConnId, so its size is the stream layer's host memory per
+  // connection lifecycle.
   static constexpr uint8_t kFullRecord = 0xff;
   struct EndedSlot {
-    uint32_t rcv_nxt = 0;
-    uint32_t accepted_segments = 0;
+    uint16_t rcv_nxt = 0;
+    uint16_t accepted_segments = 0;
     uint16_t local_port = 0;
     uint8_t state = CcbLayout::kClosed;  // kClosed: no record (live or never)
     uint8_t sender = kFullRecord;        // index into ended_senders_
   };
-  static_assert(sizeof(EndedSlot) == 12, "a compacted connection costs 12 bytes");
+  static_assert(sizeof(EndedSlot) == 8, "a compacted connection costs 8 bytes");
   struct EndedSender {
     double rto_us = 0;
     uint32_t cwnd = 0;
@@ -398,8 +400,12 @@ class StreamLayer {
 
     uint32_t iss = 0;              // initial send sequence number
     uint32_t snd_nxt = 0;          // next sequence number to assign
-    std::deque<Seg> unacked;       // in flight, oldest first
-    std::deque<uint8_t> pending;   // accepted by Send, not yet segmented
+    // Vectors, not deques: an empty one allocates nothing, and most live
+    // connections are idle. Both stay short (unacked holds at most cwnd
+    // segments, pending at most a window of bytes), so erasing from the
+    // front is cheap.
+    std::vector<Seg> unacked;      // in flight, oldest first
+    std::vector<uint8_t> pending;  // accepted by Send, not yet segmented
     bool fin_queued = false;
     bool fin_sent = false;
     bool fin_received = false;

@@ -9,16 +9,22 @@
 // each other, branches anywhere, accesses in and out of range and in and out
 // of a quaspace filter) run on both in random step-limited slices, with a
 // trap handler that randomly mutates registers, condition codes, memory, the
-// supervisor flag and tracing, and picks any TrapAction. After every slice
-// both sides must agree on the RunResult, the whole machine state and the
-// position; every handler call must see the same state; the traces must
-// match entry for entry.
+// supervisor flag and tracing, and picks any TrapAction. Half the blocks also
+// hold one of the two byte loops Run executes as host code (ByteLoopLength),
+// with counts, pointers, masks and buffers that run it off the end of memory
+// or out of the quaspace partway through, and ring copies that overlap their
+// source. After every slice both sides must agree on the RunResult, the whole
+// machine state and the position; every handler call must see the same
+// state; the traces must match entry for entry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <random>
 #include <string>
 #include <tuple>
@@ -56,6 +62,10 @@ size_t Width(Opcode op) {
 class RefStepper {
  public:
   RefStepper(Machine& m, const CodeStore& store) : m_(m), store_(store) {}
+
+  // Fetches of a byte-loop head with tracing off and a nonzero count, by loop
+  // length: where Run may execute iterations as host code.
+  std::map<uint32_t, int> loop_heads;
 
   void SetTrapHandler(TrapHandler handler) { handler_ = std::move(handler); }
   void Start(BlockId entry) {
@@ -95,6 +105,11 @@ class RefStepper {
         continue;
       }
       const Instr in = blk.code[pc_];
+      if (in.op == Opcode::kTst && !m_.tracing() && m_.reg(in.rd) != 0) {
+        if (const uint32_t len = ByteLoopLength(blk, pc_); len != 0) {
+          loop_heads[len]++;
+        }
+      }
       TraceEntry* traced = m_.tracing() ? &m_.Record(block_, pc_, in) : nullptr;
       uint32_t next = pc_ + 1;
       bool taken = false;
@@ -521,7 +536,75 @@ void ExpectSameMachine(const Machine& a, const Machine& b) {
   }
 }
 
-// Installs blocks 1..kBlocks of 4 to 43 random instructions each.
+// A byte-loop pointer: one that runs off the end of memory, out of the
+// quaspace or starts just below it, or one inside the quaspace.
+uint32_t LoopPointer(std::mt19937& rng) {
+  switch (rng() % 5) {
+    case 0:
+      return kMem - rng() % 300;
+    case 1:
+      return kQuaspace.end - rng() % 300;
+    case 2:
+      return kQuaspace.begin - rng() % 8;
+    default:
+      return kQuaspace.begin + rng() % (kQuaspace.end - kQuaspace.begin);
+  }
+}
+
+// A loop step: mostly 1, now and then another small one.
+int32_t LoopStep(std::mt19937& rng) {
+  return rng() % 8 == 0 ? static_cast<int32_t>(rng() % 6) - 2 : 1;
+}
+
+// A load or store displacement: mostly 0, as the kernel emits it.
+int32_t LoopDisp(std::mt19937& rng) {
+  return rng() % 4 == 0 ? static_cast<int32_t>(rng() % 16) - 4 : 0;
+}
+
+// Appends a prelude that sets a count from 0 to 300 and the loop's pointers,
+// then one of the byte loops ByteLoopLength recognizes. Its registers are
+// mostly distinct; sometimes two roles share one, or the bra misses the head,
+// and Run must interpret it.
+void AppendByteLoop(std::mt19937& rng, std::vector<Instr>& code) {
+  std::vector<uint8_t> regs(kNumRegisters);
+  std::iota(regs.begin(), regs.end(), uint8_t{0});
+  std::shuffle(regs.begin(), regs.end(), rng);
+  if (rng() % 8 == 0) {
+    regs[rng() % 5] = regs[rng() % 5];
+  }
+  const uint8_t n = regs[0], byte = regs[1], src = regs[2], sum_or_dst = regs[3], head = regs[4];
+  const bool ring = rng() % 2 == 0;
+  const uint32_t src0 = LoopPointer(rng);
+  code.push_back({Opcode::kMoveI, n, 0, static_cast<int32_t>(rng() % 301)});
+  code.push_back({Opcode::kMoveI, src, 0, static_cast<int32_t>(src0)});
+  if (ring) {
+    code.push_back({Opcode::kMoveI, head, 0, static_cast<int32_t>(rng() % 64)});
+  }
+  const int32_t top = static_cast<int32_t>(code.size());
+  const int32_t exit = top + static_cast<int32_t>(ring ? kRingCopyLoopLength : kCsumLoopLength);
+  code.push_back({Opcode::kTst, n, 0, 0});
+  code.push_back({Opcode::kBeq, 0, 0, rng() % 4 == 0 ? static_cast<int32_t>(rng() % exit) : exit});
+  code.push_back({Opcode::kLoad8, byte, src, LoopDisp(rng)});
+  if (ring) {
+    // The buffer overlaps the source now and then; the mask is mostly a
+    // power of two less one.
+    const uint32_t buf = rng() % 3 == 0 ? src0 + rng() % 32 - 16 : LoopPointer(rng);
+    const uint32_t mask = rng() % 8 == 0 ? static_cast<uint32_t>(rng()) : (1u << rng() % 10) - 1;
+    code.push_back({Opcode::kLea, sum_or_dst, head, static_cast<int32_t>(buf)});
+    code.push_back({Opcode::kStore8, sum_or_dst, byte, LoopDisp(rng)});
+    code.push_back({Opcode::kAddI, head, 0, LoopStep(rng)});
+    code.push_back({Opcode::kAndI, head, 0, static_cast<int32_t>(mask)});
+  } else {
+    code.push_back({Opcode::kAdd, sum_or_dst, byte, 0});
+  }
+  code.push_back({Opcode::kAddI, src, 0, LoopStep(rng)});
+  code.push_back({Opcode::kSubI, n, 0, LoopStep(rng)});
+  // Now and then the loop branches back somewhere else: no byte loop then.
+  code.push_back({Opcode::kBra, 0, 0, rng() % 8 == 0 ? static_cast<int32_t>(rng() % exit) : top});
+}
+
+// Installs blocks 1..kBlocks of 4 to 43 random instructions each; half of
+// them also hold a byte loop at a random position.
 void InstallRandomProgram(std::mt19937& rng, CodeStore& store) {
   for (int b = 1; b <= kBlocks; b++) {
     CodeBlock blk;
@@ -530,8 +613,28 @@ void InstallRandomProgram(std::mt19937& rng, CodeStore& store) {
     for (int i = 0; i < len; i++) {
       blk.code.push_back(RandomInstr(rng, len));
     }
+    if (rng() % 2 == 0) {
+      const auto at = blk.code.begin() + rng() % (len + 1);
+      std::vector<Instr> rest(at, blk.code.end());
+      blk.code.erase(at, blk.code.end());
+      AppendByteLoop(rng, blk.code);
+      blk.code.insert(blk.code.end(), rest.begin(), rest.end());
+    }
     store.Install(std::move(blk));
   }
+}
+
+// The length of the recognized byte loop whose body, past its head, holds
+// pc; 0 if none does.
+uint32_t ByteLoopAround(const CodeBlock& blk, uint32_t pc) {
+  for (uint32_t head = pc > kRingCopyLoopLength ? pc - kRingCopyLoopLength : 0; head < pc;
+       head++) {
+    const uint32_t len = ByteLoopLength(blk, head);
+    if (len != 0 && pc < head + len) {
+      return len;
+    }
+  }
+  return 0;
 }
 
 void RunOneProgram(uint32_t seed) {
@@ -606,30 +709,58 @@ TEST(ExecutorFuzz, MatchesTheReferenceStepper) {
 
 // The fuzz above must reach every outcome and every fault kind the executor
 // raises, and resume across step limits and blocked traps; otherwise it
-// proves less than it claims. Counted on the executor side only.
+// proves less than it claims. Counted on the executor side. The reference
+// stepper, run beside it, must also reach each byte loop's head where Run
+// may take over, and end runs inside each loop's body on a bus error and at
+// the step limit, where Run must hand the iteration back.
 TEST(ExecutorFuzz, CoversEveryOutcome) {
   int outcomes[5] = {};  // RunOutcome
   int faults[5] = {};    // FaultKind
   int resumed = 0;
+  std::map<uint32_t, int> loop_heads;  // by loop length, reference side
+  std::map<uint32_t, int> bus_errors_inside, step_limits_inside;
   for (uint32_t seed = 1; seed <= 3000; seed++) {
     std::mt19937 rng(seed);
     CodeStore store;
     InstallRandomProgram(rng, store);
-    Machine m(kMem, MachineConfig::SunEmulation());
+    Machine m(kMem, MachineConfig::SunEmulation()), rm(kMem, MachineConfig::SunEmulation());
     m.address_filter().Allow(kQuaspace);
+    rm.address_filter().Allow(kQuaspace);
     Executor exec(m, store);
-    std::vector<Seen> seen;
+    RefStepper ref(rm, store);
+    std::vector<Seen> seen, ref_seen;
     exec.SetTrapHandler(RandomHandler(seed, seen, [] { return std::make_pair(0, 0u); }));
-    exec.Start(1 + static_cast<BlockId>(rng() % kBlocks));
+    ref.SetTrapHandler(RandomHandler(seed, ref_seen, [] { return std::make_pair(0, 0u); }));
+    const BlockId entry = 1 + static_cast<BlockId>(rng() % kBlocks);
+    exec.Start(entry);
+    ref.Start(entry);
     for (int slice = 0; slice < 12; slice++) {
-      const RunResult r = exec.Run(1 + rng() % 300);
+      const uint64_t steps = 1 + rng() % 300;
+      const RunResult r = exec.Run(steps);
       outcomes[static_cast<int>(r.outcome)]++;
       faults[static_cast<int>(r.fault)]++;
+      const RunResult rr = ref.Run(steps);
+      if (store.Valid(ref.current_block())) {
+        const uint32_t len = ByteLoopAround(store.Get(ref.current_block()), ref.current_pc());
+        if (rr.fault == FaultKind::kBusError) {
+          bus_errors_inside[len]++;
+        } else if (rr.outcome == RunOutcome::kStepLimit) {
+          step_limits_inside[len]++;
+        }
+      }
       if (!exec.active()) {
         break;
       }
       resumed++;
     }
+    for (const auto& [len, n] : ref.loop_heads) {
+      loop_heads[len] += n;
+    }
+  }
+  for (const uint32_t len : {kCsumLoopLength, kRingCopyLoopLength}) {
+    EXPECT_GT(loop_heads[len], 1000) << "loop length " << len;
+    EXPECT_GT(bus_errors_inside[len], 10) << "loop length " << len;
+    EXPECT_GT(step_limits_inside[len], 100) << "loop length " << len;
   }
   for (int o = 0; o < 5; o++) {
     EXPECT_GT(outcomes[o], 0) << "outcome " << o;

@@ -14,6 +14,7 @@
 #include "src/io/channel.h"
 #include "src/io/io_system.h"
 #include "src/kernel/kernel.h"
+#include "src/machine/executor.h"
 #include "src/net/nic_device.h"
 #include "src/net/nic_pool.h"
 #include "src/net/stream.h"
@@ -215,6 +216,36 @@ TEST_F(StreamTest, HandshakeEstablishesBothSidesAndResynthesizes) {
   EXPECT_EQ(mem.Read32(st_.CcbOf(srv) + CcbLayout::kRcvNxt), 1u);
   EXPECT_EQ(mem.Read32(st_.CcbOf(cli) + CcbLayout::kRcvNxt), 1u);
   EXPECT_EQ(mem.Read32(st_.CcbOf(cli) + CcbLayout::kSndUna), 1u);
+}
+
+// How many byte loops of `len` instructions the executor recognizes in `blk`.
+int CountByteLoops(const CodeBlock& blk, uint32_t len) {
+  int n = 0;
+  for (uint32_t pc = 0; pc < blk.size(); pc++) {
+    n += ByteLoopLength(blk, pc) == len ? 1 : 0;
+  }
+  return n;
+}
+
+// Executor::Run runs whole iterations of the checksum and ring-copy byte loops
+// as host code only where ByteLoopLength recognizes them. A template or
+// optimizer change that reshapes either loop would turn that off without
+// moving any simulated number, so the code the kernel installs is pinned here.
+TEST_F(StreamTest, InstalledProcessorKeepsItsHostRunByteLoops) {
+  ConnId srv = st_.Listen(80);
+  ConnId cli = st_.Connect(80);
+  ASSERT_NE(srv, kBadConn);
+  ASSERT_NE(cli, kBadConn);
+  k_.Run();
+  for (ConnId c : {srv, cli}) {
+    ASSERT_EQ(st_.StateOf(c), CcbLayout::kEstablished);
+    ASSERT_FALSE(st_.DegradedOf(c));
+    const CodeBlock& proc = k_.code().Get(st_.SynthDeliverOf(c));
+    EXPECT_EQ(CountByteLoops(proc, kCsumLoopLength), 1) << proc.name;
+    EXPECT_EQ(CountByteLoops(proc, kRingCopyLoopLength), 1) << proc.name;
+  }
+  const CodeBlock& csum = k_.code().Get(nic_.demux().csum_block());
+  EXPECT_EQ(CountByteLoops(csum, kCsumLoopLength), 1) << csum.name;
 }
 
 TEST_F(StreamTest, TransferAndBidirectionalCloseReachDone) {
@@ -900,14 +931,20 @@ TEST_F(StreamTest, ReclaimedConnectionAnswersTheSameAfterCompaction) {
   // Every connection opens before any closes: the next Listen/Connect
   // compacts whatever is reclaimed by then.
   // Two clean pairs under configs whose timers and windows differ, so their
-  // compacted slots index two different (rto_us, cwnd) entries.
+  // compacted slots index two different (rto_us, cwnd) entries. A third clean
+  // pair numbers from past 2^16, so its rcv_nxt overflows a compacted slot and
+  // it keeps full records.
   StreamConfig other;
   other.rto_base_us = 6000;
   other.window_segments = 4;
+  StreamConfig high_seq;
+  high_seq.initial_seq = 0x12345678;
   const ConnId srv = st_.Listen(80);
   const ConnId cli = st_.Connect(80);
   const ConnId srv2 = st_.Listen(82, other);
   const ConnId cli2 = st_.Connect(82, other);
+  const ConnId srv3 = st_.Listen(84, high_seq);
+  const ConnId cli3 = st_.Connect(84, high_seq);
   // A connection that ends with retransmits, dup acks and an out-of-order
   // segment keeps its full record: a fake peer on port 91 handshakes, sends
   // a segment from the future, dup-acks the server's data three times (a
@@ -919,12 +956,12 @@ TEST_F(StreamTest, ReclaimedConnectionAnswersTheSameAfterCompaction) {
   InjectSeg(90, 91, 1, 1, StreamSeg::kFlagAck, "");
   k_.Run();
   ASSERT_EQ(st_.StateOf(lost), CcbLayout::kEstablished);
-  for (ConnId c : {cli, cli2}) {
+  for (ConnId c : {cli, cli2, cli3}) {
     ASSERT_EQ(st_.Send(c, buf, 48), 48);
     ASSERT_TRUE(st_.Close(c));
   }
   k_.Run();
-  for (ConnId s : {srv, srv2}) {
+  for (ConnId s : {srv, srv2, srv3}) {
     ASSERT_EQ(st_.Recv(s, buf, 64), 48);
     ASSERT_EQ(st_.Recv(s, buf, 64), 0);
     ASSERT_TRUE(st_.Close(s));
@@ -936,7 +973,7 @@ TEST_F(StreamTest, ReclaimedConnectionAnswersTheSameAfterCompaction) {
   }
   k_.Run(5'000'000);
   ASSERT_EQ(st_.StateOf(lost), CcbLayout::kFailed);
-  const std::vector<ConnId> ids = {cli, srv, cli2, srv2, lost};
+  const std::vector<ConnId> ids = {cli, srv, cli2, srv2, lost, cli3, srv3};
 
   struct View {
     StreamStats stats;
@@ -968,6 +1005,8 @@ TEST_F(StreamTest, ReclaimedConnectionAnswersTheSameAfterCompaction) {
   ASSERT_GT(before[4].stats.timeouts, 0u);
   ASSERT_GT(before[4].stats.dup_acks, 0u);
   ASSERT_GT(before[4].stats.out_of_order, 0u);
+  ASSERT_EQ(before[6].state, CcbLayout::kDone);
+  ASSERT_GT(before[6].stats.rcv_nxt, 0xffffu);
   ASSERT_NE(st_.Listen(81), kBadConn);  // compacts the reclaimed records
   for (size_t i = 0; i < ids.size(); i++) {
     const View after = view(ids[i]);
