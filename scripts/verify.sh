@@ -134,10 +134,21 @@ fi
 # Example smoke (well under 1 s together): every example binary must exit 0.
 # net_echo exits 1 if any payload is lost; c10k_server drives the
 # degrade-then-resynthesize ladder and exits 1 if any of its checks fails.
+# Then its stdout must match bench/golden/examples/<name>.txt byte for byte:
+# every example but lockfree_queues (host-timed CAS retries, no golden)
+# prints only simulated numbers. Skipped while SYNTHESIS_FAULTS is set, like
+# the bench gate. A change that moves an example's output on purpose
+# regenerates its golden in the same commit.
 for e in "$BUILD_DIR"/examples/*; do
   [[ -f "$e" && -x "$e" ]] || continue
-  (cd "$BUILD_DIR" && "./examples/$(basename "$e")" > /dev/null) \
-    || { echo "verify: example $(basename "$e") failed" >&2; exit 1; }
+  name=$(basename "$e")
+  (cd "$BUILD_DIR" && "./examples/$name" > "$name.stdout") \
+    || { echo "verify: example $name failed" >&2; exit 1; }
+  if [[ -z "${SYNTHESIS_FAULTS:-}" && "$name" != lockfree_queues ]]; then
+    golden="bench/golden/examples/$name.txt"
+    diff -u "$golden" "$BUILD_DIR/$name.stdout" \
+      || { echo "verify: example $name moved from $golden" >&2; exit 1; }
+  fi
 done
 
 # Every bench JSON the tree produced must parse; a malformed artifact fails

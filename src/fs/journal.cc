@@ -99,12 +99,13 @@ uint32_t Crc32(const uint8_t* data, size_t len) {
 }
 
 Journal::Journal(Kernel& kernel, DiskDevice& disk, DiskScheduler& sched,
-                 uint32_t start_sector, JournalConfig config)
+                 uint32_t start_sector, uint32_t payload_bytes,
+                 JournalConfig config)
     : kernel_(kernel), disk_(disk), sched_(sched), cfg_(config),
-      start_(start_sector) {
+      start_(start_sector), payload_bytes_(payload_bytes) {
   sector_bytes_ = disk_.geometry().sector_bytes;
   payload_sectors_ =
-      cfg_.payload_bytes >= sector_bytes_ ? cfg_.payload_bytes / sector_bytes_ : 0;
+      payload_bytes_ >= sector_bytes_ ? payload_bytes_ / sector_bytes_ : 0;
   max_entries_ = sector_bytes_ > kEntryOff + 4
                      ? (sector_bytes_ - kEntryOff - 4) / kEntryBytes
                      : 0;
@@ -112,8 +113,8 @@ Journal::Journal(Kernel& kernel, DiskDevice& disk, DiskScheduler& sched,
   // and WaitForSpace can only terminate when the region holds several maximal
   // batches — so a bad geometry is a hard construction error, like Bcache's.
   if (!IsPow2(cfg_.sectors) || cfg_.sectors < 32 ||
-      !IsPow2(cfg_.payload_bytes) || payload_sectors_ == 0 ||
-      cfg_.payload_bytes % sector_bytes_ != 0 || max_entries_ == 0 ||
+      !IsPow2(payload_bytes_) || payload_sectors_ == 0 ||
+      payload_bytes_ % sector_bytes_ != 0 || max_entries_ == 0 ||
       cfg_.sectors - 1 < 4 * (2 + payload_sectors_) ||
       start_ + cfg_.sectors > disk_.geometry().sectors) {
     std::fprintf(stderr,
@@ -121,7 +122,7 @@ Journal::Journal(Kernel& kernel, DiskDevice& disk, DiskScheduler& sched,
                  "least four minimal batches inside the disk, payload_bytes a "
                  "power-of-two multiple of sector_bytes=%u; got sectors=%u "
                  "payload_bytes=%u start=%u disk_sectors=%u\n",
-                 sector_bytes_, cfg_.sectors, cfg_.payload_bytes, start_,
+                 sector_bytes_, cfg_.sectors, payload_bytes_, start_,
                  disk_.geometry().sectors);
     std::abort();
   }
@@ -203,13 +204,13 @@ bool Journal::BeginBatch(uint32_t data_entries, uint32_t meta_entries) {
 
 void Journal::AddBlock(uint32_t block, const uint8_t* data) {
   assert(building_ && build_entries_ < build_data_ + build_meta_);
-  uint32_t crc = Crc32(data, cfg_.payload_bytes);
+  uint32_t crc = Crc32(data, payload_bytes_);
   uint8_t* e = build_desc_.data() + kEntryOff + build_entries_ * kEntryBytes;
   WrU32(e + 0, kKindData);
   WrU32(e + 4, block);
-  WrU32(e + 8, cfg_.payload_bytes);
+  WrU32(e + 8, payload_bytes_);
   WrU32(e + 12, crc);
-  build_payload_.insert(build_payload_.end(), data, data + cfg_.payload_bytes);
+  build_payload_.insert(build_payload_.end(), data, data + payload_bytes_);
   build_payload_crcs_.push_back(crc);
   build_entries_++;
 }
@@ -443,7 +444,7 @@ Journal::RecoverReport Journal::Recover(
       if (ent.kind == kKindData) {
         ent.payload = sector(p + 1 + pay);
         pay += payload_sectors_;
-        if (Crc32(ent.payload, cfg_.payload_bytes) != RdU32(e + 12)) {
+        if (Crc32(ent.payload, payload_bytes_) != RdU32(e + 12)) {
           return 1;  // payload torn despite a (stale-looking) descriptor
         }
       } else if (ent.kind != kKindSize) {
@@ -501,7 +502,7 @@ Journal::RecoverReport Journal::Recover(
         w.sector = e.target * payload_sectors_;
         w.count = payload_sectors_;
         w.is_write = true;
-        w.host_src.assign(e.payload, e.payload + cfg_.payload_bytes);
+        w.host_src.assign(e.payload, e.payload + payload_bytes_);
         sched_.SubmitAndWait(kernel_, std::move(w));
       } else {
         apply_size(e.target, e.val);

@@ -49,8 +49,7 @@ namespace synthesis {
 uint32_t Crc32(const uint8_t* data, size_t len);
 
 struct JournalConfig {
-  uint32_t sectors = 256;       // region size, power of two (>= 32)
-  uint32_t payload_bytes = 512; // bytes per data payload = cache block_bytes
+  uint32_t sectors = 256;  // region size, power of two (>= 32)
 };
 
 class Journal {
@@ -58,13 +57,16 @@ class Journal {
   // Aborts (fprintf + abort) on invalid geometry: the region must be a
   // power-of-two sector count with room for several maximal batches, and the
   // payload a power-of-two multiple of the sector size — recovery arithmetic
-  // masks and divides by all three.
+  // masks and divides by all three. `payload_bytes` is the journaled cache's
+  // block size: each data entry carries one whole block and replays it to
+  // the block's home sectors.
   Journal(Kernel& kernel, DiskDevice& disk, DiskScheduler& sched,
-          uint32_t start_sector, JournalConfig config = {});
+          uint32_t start_sector, uint32_t payload_bytes,
+          JournalConfig config = {});
 
   uint32_t start_sector() const { return start_; }
   uint32_t sectors() const { return cfg_.sectors; }
-  uint32_t payload_bytes() const { return cfg_.payload_bytes; }
+  uint32_t payload_bytes() const { return payload_bytes_; }
   // Data entries a single batch can carry (descriptor-sector capacity).
   uint32_t max_entries() const { return max_entries_; }
 
@@ -144,6 +146,7 @@ class Journal {
   DiskScheduler& sched_;
   JournalConfig cfg_;
   uint32_t start_ = 0;
+  uint32_t payload_bytes_ = 0;  // bytes per data entry: one cache block
   uint32_t sector_bytes_ = 0;
   uint32_t payload_sectors_ = 0;  // per data entry
   uint32_t max_entries_ = 0;

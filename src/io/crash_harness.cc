@@ -10,7 +10,8 @@ CrashStack::CrashStack(const CrashStackConfig& cfg)
       sched(disk),
       fs(kernel, disk, sched),
       bcache(kernel, disk, sched, cfg.bcache),
-      journal(kernel, disk, sched, FileSystem::kJournalStart, cfg.journal),
+      journal(kernel, disk, sched, FileSystem::kJournalStart,
+              bcache.block_bytes(), cfg.journal),
       io(kernel, &fs) {
   Attach(cfg, /*format=*/true);
 }
@@ -22,7 +23,8 @@ CrashStack::CrashStack(const CrashStackConfig& cfg,
       sched(disk),
       fs(kernel, disk, sched),
       bcache(kernel, disk, sched, cfg.bcache),
-      journal(kernel, disk, sched, FileSystem::kJournalStart, cfg.journal),
+      journal(kernel, disk, sched, FileSystem::kJournalStart,
+              bcache.block_bytes(), cfg.journal),
       io(kernel, &fs) {
   // The surviving platter: whatever the completion interrupts had landed at
   // the instant of the power failure, torn in-flight sectors included.

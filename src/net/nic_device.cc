@@ -19,6 +19,8 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
       config_(config),
       demux_(kernel),
       wire_(config.tx_slots == 0 ? 1 : config.tx_slots),
+      rx_batch_{Vector::kNetRx, config.rx_slots},
+      tx_batch_{Vector::kNetTx, config.tx_slots},
       rng_(config.fault_seed) {
   // The slot-index masks (rx_next_ & (slots - 1)) silently alias descriptors
   // for any other geometry, so a bad config is a hard construction error —
@@ -36,29 +38,11 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
   inner_cell_ = kernel_.allocator().Allocate(4);
   assert(rx_base_ != 0 && tx_base_ != 0 && demux_cell_ != 0 && inner_cell_ != 0 &&
          "kernel memory exhausted bringing up a NIC");
-  Memory& ctor_mem = kernel_.machine().memory();
   if (batching()) {
-    due_base_ = kernel_.allocator().Allocate(4 + 4 * config_.rx_slots);
-    batch_desc_ = kernel_.allocator().Allocate(12);
-    batch_cell_ = kernel_.allocator().Allocate(4);
-    batch_idx_ = kernel_.allocator().Allocate(4);
-    assert(due_base_ != 0 && batch_desc_ != 0 && batch_cell_ != 0 &&
-           batch_idx_ != 0 && "kernel memory exhausted bringing up a NIC");
-    ctor_mem.Write32(due_base_, 0);
-    ctor_mem.Write32(batch_desc_ + 0, due_base_);
-    ctor_mem.Write32(batch_desc_ + 4, rx_base_);
-    ctor_mem.Write32(batch_desc_ + 8, demux_cell_);
+    AllocateBatch(rx_batch_, {rx_base_, demux_cell_});
   }
   if (tx_batching()) {
-    tx_due_base_ = kernel_.allocator().Allocate(4 + 4 * config_.tx_slots);
-    tx_batch_desc_ = kernel_.allocator().Allocate(8);
-    tx_batch_cell_ = kernel_.allocator().Allocate(4);
-    tx_batch_idx_ = kernel_.allocator().Allocate(4);
-    assert(tx_due_base_ != 0 && tx_batch_desc_ != 0 && tx_batch_cell_ != 0 &&
-           tx_batch_idx_ != 0 && "kernel memory exhausted bringing up a NIC");
-    ctor_mem.Write32(tx_due_base_, 0);
-    ctor_mem.Write32(tx_batch_desc_ + 0, tx_due_base_);
-    ctor_mem.Write32(tx_batch_desc_ + 4, tx_base_);
+    AllocateBatch(tx_batch_, {tx_base_});
   }
   // A hands-off swap of the demux (refusal fallback to the generic walk)
   // must repoint this device's cells before the displaced block drains. Flow
@@ -95,89 +79,8 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     return TrapAction::kContinue;
   });
 
-  // Batch latch: the "hardware" side of a coalesced interrupt. Every frame
-  // whose wire arrival time has passed is written into the due table (count +
-  // slot indices, in arrival order — so reordered frames still overtake), and
-  // the interrupt re-arms for whatever is still in flight. A stale raise
-  // (the batch was advanced past it) finds nothing due and the loop runs
-  // zero frames.
-  int batchfill_vec = kernel_.RegisterHostTrap([this](Machine& m) {
-    const double now = kernel_.NowUs() + 1e-9;
-    std::stable_sort(rx_pending_.begin(), rx_pending_.end(),
-                     [](const PendingRx& a, const PendingRx& b) {
-                       return a.at < b.at || (a.at == b.at && a.seq < b.seq);
-                     });
-    Memory& mem = m.memory();
-    uint32_t count = 0;
-    size_t kept = 0;
-    for (const PendingRx& p : rx_pending_) {
-      if (p.at <= now && count < config_.rx_slots) {
-        mem.Write32(due_base_ + 4 + 4 * count, p.slot);
-        count++;
-      } else {
-        rx_pending_[kept++] = p;
-      }
-    }
-    rx_pending_.resize(kept);
-    mem.Write32(due_base_, count);
-    m.Charge(4 + 2 * count, 1, 1 + count);  // descriptor scan, a word per slot
-    rx_batch_dispatches_++;
-    rx_batch_frames_ += count;
-    if (rx_pending_.empty()) {
-      batch_armed_ = false;
-    } else {
-      double fire = rx_pending_.front().fire;
-      for (const PendingRx& p : rx_pending_) {
-        fire = std::min(fire, p.fire);
-      }
-      kernel_.interrupts().Raise(fire, Vector::kNetRx, config_.irq_tag);
-      batch_armed_ = true;
-      batch_next_fire_ = fire;
-    }
-    return TrapAction::kContinue;
-  });
-
-  // TX batch latch, the transmit-side twin of batchfill: every frame whose
-  // DMA-out has completed is written into the TX due table in completion
-  // order, and the single outstanding completion interrupt re-arms for
-  // whatever is still draining. An interrupt-burst echo of the batched entry
-  // runs this again immediately, finds nothing newly due, and the retire
-  // loop runs zero frames — double dispatch is tolerated by construction.
-  int txfill_vec = kernel_.RegisterHostTrap([this](Machine& m) {
-    const double now = kernel_.NowUs() + 1e-9;
-    std::stable_sort(tx_pending_.begin(), tx_pending_.end(),
-                     [](const PendingTx& a, const PendingTx& b) {
-                       return a.at < b.at || (a.at == b.at && a.seq < b.seq);
-                     });
-    Memory& mem = m.memory();
-    uint32_t count = 0;
-    size_t kept = 0;
-    for (const PendingTx& p : tx_pending_) {
-      if (p.at <= now && count < config_.tx_slots) {
-        mem.Write32(tx_due_base_ + 4 + 4 * count, p.slot);
-        count++;
-      } else {
-        tx_pending_[kept++] = p;
-      }
-    }
-    tx_pending_.resize(kept);
-    mem.Write32(tx_due_base_, count);
-    m.Charge(4 + 2 * count, 1, 1 + count);  // descriptor scan, a word per slot
-    tx_batch_dispatches_++;
-    tx_batch_frames_ += count;
-    if (tx_pending_.empty()) {
-      tx_batch_armed_ = false;
-    } else {
-      double fire = tx_pending_.front().fire;
-      for (const PendingTx& p : tx_pending_) {
-        fire = std::min(fire, p.fire);
-      }
-      kernel_.interrupts().Raise(fire, Vector::kNetTx, config_.irq_tag);
-      tx_batch_armed_ = true;
-      tx_batch_next_fire_ = fire;
-    }
-    return TrapAction::kContinue;
-  });
+  int rxfill_vec = RegisterLatch(rx_batch_);
+  int txfill_vec = RegisterLatch(tx_batch_);
 
   // The entry blocks and generic batch loops have no fallback, so they
   // install exempt from injected refusal: a refused one would leave the NIC
@@ -201,81 +104,7 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     rx_entry_ = kernel_.SynthesizeInstallEssential(
         rx.Build(), Bindings(), nullptr, "nic_rx_entry", nullptr, &verbatim);
   } else {
-    // Batched RX: ONE interrupt covers every due completion. The entry
-    // latches the due slots (batchfill trap = the controller's descriptor
-    // scan), then runs the active batch loop out of the batch cell. Two loop
-    // implementations share the cell, same pattern as demux/steering:
-    //
-    //  * GENERIC: reloads the descriptor (due table base, RX ring base,
-    //    demux cell address) from memory on every iteration — the layered
-    //    ablation baseline.
-    //  * SYNTHESIZED: every one of those is a device-lifetime invariant,
-    //    folded to an immediate (Factoring Invariants).
-    //
-    // Both reload the demux cell per frame, so a flow rebound by a deliver
-    // hook mid-batch steers the very next frame through the fresh demux, and
-    // both keep the per-frame RX-done trap (gauges, reader wakeups, hooks) —
-    // only the vector/entry/exit overhead is amortized.
-    Asm g("nic_rx_batch_gen");
-    g.MoveI(kD3, 0);
-    g.StoreA32(static_cast<int32_t>(batch_idx_), kD3);
-    g.Label("loop");
-    g.MoveI(kA2, static_cast<int32_t>(batch_desc_));
-    g.Load32(kD0, kA2, 0);  // due table base
-    g.Move(kA4, kD0);
-    g.Load32(kD6, kA4, 0);  // due count
-    g.LoadA32(kD3, static_cast<int32_t>(batch_idx_));
-    g.Cmp(kD3, kD6);
-    g.Bge("done");
-    g.Move(kD1, kD3);
-    g.LslI(kD1, 2);
-    g.Add(kD1, kD0);
-    g.Move(kA5, kD1);
-    g.Load32(kD1, kA5, 4);  // slot index
-    g.Load32(kD5, kA2, 4);  // RX ring base
-    g.MulI(kD1, FrameLayout::kSlotBytes);
-    g.Add(kD1, kD5);
-    g.Move(kA1, kD1);
-    g.Load32(kD7, kA2, 8);  // demux cell address
-    g.Move(kA5, kD7);
-    g.Load32(kD7, kA5, 0);  // current demux
-    g.JsrInd(kD7);
-    g.Trap(rxdone_vec);
-    g.LoadA32(kD3, static_cast<int32_t>(batch_idx_));
-    g.AddI(kD3, 1);
-    g.StoreA32(static_cast<int32_t>(batch_idx_), kD3);
-    g.Bra("loop");
-    g.Label("done");
-    g.Rts();
-    batch_loop_gen_ = kernel_.SynthesizeInstallEssential(
-        g.Build(), Bindings(), nullptr, "nic_rx_batch_gen", nullptr,
-        &verbatim);
-    assert(batch_loop_gen_ != kInvalidBlock &&
-           "code store exhausted bringing up a NIC");
-
-    // The specialized loop registers behind a Specializer handle: the generic
-    // loop is its fallback (it reloads the descriptor per frame, so it is
-    // always valid), and the byte-cap sweep may demote it under pressure.
-    SpecDesc bd;
-    bd.name = "nic_rx_batch@" + std::to_string(batch_cell_);
-    bd.generic = batch_loop_gen_;
-    bd.adaptive = false;  // folds device-lifetime invariants; never stale
-    bd.emit = [this, rxdone_vec](SpecTier) {
-      return BuildRxBatchLoop(rxdone_vec);
-    };
-    bd.install = [this](BlockId, SpecTier, SpecInstall) { RefreshDemuxCell(); };
-    rx_batch_spec_ = kernel_.spec().Register(std::move(bd));
-    RefreshDemuxCell();  // now that the loops exist, point the batch cell
-
-    Asm rx("nic_rx_batch_entry");
-    rx.Charge(60);            // controller status read, descriptor ack
-    rx.Trap(batchfill_vec);   // latch every due completion into the table
-    rx.LoadA32(kD7, static_cast<int32_t>(batch_cell_));
-    rx.JsrInd(kD7);
-    rx.Rts();
-    rx_entry_ = kernel_.SynthesizeInstallEssential(
-        rx.Build(), Bindings(), nullptr, "nic_rx_batch_entry", nullptr,
-        &verbatim);
+    rx_entry_ = InstallBatchPath(rx_batch_, true, rxdone_vec, rxfill_vec);
   }
   assert(rx_entry_ != kInvalidBlock && "code store exhausted bringing up a NIC");
   if (config_.install_vectors) {
@@ -292,71 +121,7 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
     tx_entry_ = kernel_.SynthesizeInstallEssential(
         tx.Build(), Bindings(), nullptr, "nic_tx_entry", nullptr, &verbatim);
   } else {
-    // Coalesced TX-complete: ONE interrupt retires every due frame. The
-    // entry latches due slots (txfill trap = the controller's completion
-    // scan), then runs the active retire loop out of the TX batch cell —
-    // the same generic/synthesized pairing as the RX dispatch loop. The
-    // generic loop faithfully walks the completion descriptor per iteration
-    // (reload descriptor, index the due table, scale the slot index to a
-    // descriptor address) before trapping to the host wire model; unlike the
-    // RX loop there is no demux call inside, and host traps preserve
-    // simulated registers.
-    Asm g("nic_tx_batch_gen");
-    g.MoveI(kD3, 0);
-    g.StoreA32(static_cast<int32_t>(tx_batch_idx_), kD3);
-    g.Label("loop");
-    g.MoveI(kA2, static_cast<int32_t>(tx_batch_desc_));
-    g.Load32(kD0, kA2, 0);  // due table base
-    g.Move(kA4, kD0);
-    g.Load32(kD6, kA4, 0);  // due count
-    g.LoadA32(kD3, static_cast<int32_t>(tx_batch_idx_));
-    g.Cmp(kD3, kD6);
-    g.Bge("done");
-    g.Move(kD1, kD3);
-    g.LslI(kD1, 2);
-    g.Add(kD1, kD0);
-    g.Move(kA5, kD1);
-    g.Load32(kD1, kA5, 4);  // slot index
-    g.Load32(kD5, kA2, 4);  // TX ring base
-    g.MulI(kD1, FrameLayout::kSlotBytes);
-    g.Add(kD1, kD5);
-    g.Move(kA1, kD1);
-    g.Trap(txdone_vec);
-    g.LoadA32(kD3, static_cast<int32_t>(tx_batch_idx_));
-    g.AddI(kD3, 1);
-    g.StoreA32(static_cast<int32_t>(tx_batch_idx_), kD3);
-    g.Bra("loop");
-    g.Label("done");
-    g.Rts();
-    tx_batch_loop_gen_ = kernel_.SynthesizeInstallEssential(
-        g.Build(), Bindings(), nullptr, "nic_tx_batch_gen", nullptr, &verbatim);
-    assert(tx_batch_loop_gen_ != kInvalidBlock &&
-           "code store exhausted bringing up a NIC");
-
-    // Specialized retire loop, registered like the RX loop. Its key
-    // specialization is dead-work elimination (see BuildTxBatchLoop); the
-    // generic walk is the fallback the Specializer demotes to under byte-cap
-    // pressure or a refused install.
-    SpecDesc td;
-    td.name = "nic_tx_batch@" + std::to_string(tx_batch_cell_);
-    td.generic = tx_batch_loop_gen_;
-    td.adaptive = false;
-    td.emit = [this, txdone_vec](SpecTier) {
-      return BuildTxBatchLoop(txdone_vec);
-    };
-    td.install = [this](BlockId, SpecTier, SpecInstall) { RefreshDemuxCell(); };
-    tx_batch_spec_ = kernel_.spec().Register(std::move(td));
-    RefreshDemuxCell();  // now that the loops exist, point the TX batch cell
-
-    Asm tx("nic_tx_batch_entry");
-    tx.Charge(40);          // controller status read, completion-queue ack
-    tx.Trap(txfill_vec);    // latch every due completion into the table
-    tx.LoadA32(kD7, static_cast<int32_t>(tx_batch_cell_));
-    tx.JsrInd(kD7);
-    tx.Rts();
-    tx_entry_ = kernel_.SynthesizeInstallEssential(
-        tx.Build(), Bindings(), nullptr, "nic_tx_batch_entry", nullptr,
-        &verbatim);
+    tx_entry_ = InstallBatchPath(tx_batch_, false, txdone_vec, txfill_vec);
   }
   assert(tx_entry_ != kInvalidBlock && "code store exhausted bringing up a NIC");
   if (config_.install_vectors) {
@@ -367,8 +132,156 @@ NicDevice::NicDevice(Kernel& kernel, NicConfig config)
 NicDevice::~NicDevice() {
   // The emit/install callbacks capture `this`; the handles must not outlive
   // the device. (The demux retires its own lookup handle.)
-  kernel_.spec().Retire(rx_batch_spec_);
-  kernel_.spec().Retire(tx_batch_spec_);
+  kernel_.spec().Retire(rx_batch_.spec);
+  kernel_.spec().Retire(tx_batch_.spec);
+}
+
+// Allocates and seeds `b`'s simulated-memory words (see Batch). The
+// descriptor is the due table's address followed by `desc_tail`.
+void NicDevice::AllocateBatch(Batch& b, std::initializer_list<Addr> desc_tail) {
+  KernelAllocator& alloc = kernel_.allocator();
+  b.due = alloc.Allocate(4 + 4 * b.slots);
+  b.desc = alloc.Allocate(4 + 4 * static_cast<uint32_t>(desc_tail.size()));
+  b.cell = alloc.Allocate(4);
+  b.idx = alloc.Allocate(4);
+  assert(b.due != 0 && b.desc != 0 && b.cell != 0 && b.idx != 0 &&
+         "kernel memory exhausted bringing up a NIC");
+  Memory& mem = kernel_.machine().memory();
+  mem.Write32(b.due, 0);
+  mem.Write32(b.desc, b.due);
+  Addr word = b.desc;
+  for (Addr a : desc_tail) {
+    word += 4;
+    mem.Write32(word, a);
+  }
+}
+
+// Batch latch: the "hardware" side of a coalesced interrupt (the
+// controller's descriptor or completion scan). Every frame whose due time
+// has passed is written into the due table (count + slot indices, in due
+// order — so reordered RX frames still overtake), and the direction's
+// interrupt re-arms for whatever is still in flight. A stale raise (the
+// batch was advanced past it) or an interrupt-burst echo finds nothing newly
+// due and the loop runs zero frames — double dispatch is tolerated by
+// construction.
+int NicDevice::RegisterLatch(Batch& b) {
+  return kernel_.RegisterHostTrap([this, &b](Machine& m) {
+    const double now = kernel_.NowUs() + 1e-9;
+    std::stable_sort(b.pending.begin(), b.pending.end(),
+                     [](const Pending& x, const Pending& y) {
+                       return x.at < y.at || (x.at == y.at && x.seq < y.seq);
+                     });
+    Memory& mem = m.memory();
+    uint32_t count = 0;
+    size_t kept = 0;
+    for (const Pending& p : b.pending) {
+      if (p.at <= now && count < b.slots) {
+        mem.Write32(b.due + 4 + 4 * count, p.slot);
+        count++;
+      } else {
+        b.pending[kept++] = p;
+      }
+    }
+    b.pending.resize(kept);
+    mem.Write32(b.due, count);
+    m.Charge(4 + 2 * count, 1, 1 + count);  // descriptor scan, a word per slot
+    b.dispatches++;
+    b.frames += count;
+    b.armed = !b.pending.empty();
+    if (b.armed) {
+      b.next_fire = b.pending.front().fire;
+      for (const Pending& p : b.pending) {
+        b.next_fire = std::min(b.next_fire, p.fire);
+      }
+      kernel_.interrupts().Raise(b.next_fire, b.vec, config_.irq_tag);
+    }
+    return TrapAction::kContinue;
+  });
+}
+
+// Coalesced interrupt path: ONE interrupt covers every due frame. The entry
+// latches the due slots, then runs the active batch loop out of the batch
+// cell. Two loop implementations share the cell, same pattern as
+// demux/steering:
+//
+//  * GENERIC: reloads the descriptor from memory on every iteration, indexes
+//    the due table and scales the slot index to a descriptor address — the
+//    layered ablation baseline.
+//  * SYNTHESIZED (BuildRxBatchLoop / BuildTxBatchLoop): folds what the
+//    generic loop reloads, every one a device-lifetime invariant (Factoring
+//    Invariants).
+//
+// Only the RX loop calls the demux, and both RX loops reload the demux cell
+// per frame, so a flow rebound by a deliver hook mid-batch steers the very
+// next frame through the fresh demux. Both directions keep the per-frame
+// done trap (gauges, reader wakeups, hooks, TX retirement) — only the
+// vector/entry/exit overhead is amortized. Host traps preserve simulated
+// registers; the demux does not, hence the spilled loop counter.
+BlockId NicDevice::InstallBatchPath(Batch& b, bool rx, int done_vec,
+                                    int fill_vec) {
+  const std::string name = rx ? "nic_rx_batch" : "nic_tx_batch";
+  SynthesisOptions verbatim = SynthesisOptions::Disabled();
+  Asm g(name + "_gen");
+  g.MoveI(kD3, 0);
+  g.StoreA32(static_cast<int32_t>(b.idx), kD3);
+  g.Label("loop");
+  g.MoveI(kA2, static_cast<int32_t>(b.desc));
+  g.Load32(kD0, kA2, 0);  // due table base
+  g.Move(kA4, kD0);
+  g.Load32(kD6, kA4, 0);  // due count
+  g.LoadA32(kD3, static_cast<int32_t>(b.idx));
+  g.Cmp(kD3, kD6);
+  g.Bge("done");
+  g.Move(kD1, kD3);
+  g.LslI(kD1, 2);
+  g.Add(kD1, kD0);
+  g.Move(kA5, kD1);
+  g.Load32(kD1, kA5, 4);  // slot index
+  g.Load32(kD5, kA2, 4);  // ring base
+  g.MulI(kD1, FrameLayout::kSlotBytes);
+  g.Add(kD1, kD5);
+  g.Move(kA1, kD1);
+  if (rx) {
+    g.Load32(kD7, kA2, 8);  // demux cell address
+    g.Move(kA5, kD7);
+    g.Load32(kD7, kA5, 0);  // current demux
+    g.JsrInd(kD7);
+  }
+  g.Trap(done_vec);
+  g.LoadA32(kD3, static_cast<int32_t>(b.idx));
+  g.AddI(kD3, 1);
+  g.StoreA32(static_cast<int32_t>(b.idx), kD3);
+  g.Bra("loop");
+  g.Label("done");
+  g.Rts();
+  b.loop_gen = kernel_.SynthesizeInstallEssential(
+      g.Build(), Bindings(), nullptr, name + "_gen", nullptr, &verbatim);
+  assert(b.loop_gen != kInvalidBlock &&
+         "code store exhausted bringing up a NIC");
+
+  // The specialized loop registers behind a Specializer handle: the generic
+  // loop is its fallback (it reloads the descriptor per frame, so it is
+  // always valid), and the byte-cap sweep may demote it under pressure or
+  // after a refused install.
+  SpecDesc d;
+  d.name = name + "@" + std::to_string(b.cell);
+  d.generic = b.loop_gen;
+  d.adaptive = false;  // folds device-lifetime invariants; never stale
+  d.emit = [this, rx, done_vec](SpecTier) {
+    return rx ? BuildRxBatchLoop(done_vec) : BuildTxBatchLoop(done_vec);
+  };
+  d.install = [this](BlockId, SpecTier, SpecInstall) { RefreshDemuxCell(); };
+  b.spec = kernel_.spec().Register(std::move(d));
+  RefreshDemuxCell();  // now that the loops exist, point the batch cell
+
+  Asm e(name + "_entry");
+  e.Charge(rx ? 60 : 40);  // controller status read, descriptor/completion ack
+  e.Trap(fill_vec);        // latch every due frame into the table
+  e.LoadA32(kD7, static_cast<int32_t>(b.cell));
+  e.JsrInd(kD7);
+  e.Rts();
+  return kernel_.SynthesizeInstallEssential(
+      e.Build(), Bindings(), nullptr, name + "_entry", nullptr, &verbatim);
 }
 
 BlockId NicDevice::BuildRxBatchLoop(int rxdone_vec) {
@@ -379,18 +292,18 @@ BlockId NicDevice::BuildRxBatchLoop(int rxdone_vec) {
                 "slot stride decomposition");
   Asm s("nic_rx_batch_syn");
   s.MoveI(kD3, 0);
-  s.StoreA32(static_cast<int32_t>(batch_idx_), kD3);
+  s.StoreA32(static_cast<int32_t>(rx_batch_.idx), kD3);
   s.Label("loop");
-  s.LoadA32(kD3, static_cast<int32_t>(batch_idx_));
-  s.LoadA32(kD6, static_cast<int32_t>(due_base_));
+  s.LoadA32(kD3, static_cast<int32_t>(rx_batch_.idx));
+  s.LoadA32(kD6, static_cast<int32_t>(rx_batch_.due));
   s.Cmp(kD3, kD6);
   s.Bge("done");
-  s.LoadIdx32(kD1, kD3, static_cast<int32_t>(due_base_ + 4));
+  s.LoadIdx32(kD1, kD3, static_cast<int32_t>(rx_batch_.due + 4));
   // d3 is dead until the next iteration: publish the incremented index now,
   // so the post-demux path needs no reload/spill pair (the demux clobbers
   // every data register).
   s.AddI(kD3, 1);
-  s.StoreA32(static_cast<int32_t>(batch_idx_), kD3);
+  s.StoreA32(static_cast<int32_t>(rx_batch_.idx), kD3);
   s.Move(kD5, kD1);
   s.LslI(kD1, 10);
   s.LslI(kD5, 4);
@@ -420,7 +333,7 @@ BlockId NicDevice::BuildTxBatchLoop(int txdone_vec) {
   // loop bound, hoisted into a register that host traps are guaranteed to
   // preserve.
   Asm s("nic_tx_batch_syn");
-  s.LoadA32(kD6, static_cast<int32_t>(tx_due_base_));
+  s.LoadA32(kD6, static_cast<int32_t>(tx_batch_.due));
   s.Tst(kD6);
   s.Beq("done");
   s.Label("loop");
@@ -453,27 +366,19 @@ void NicDevice::RefreshDemuxCell() {
   mem.Write32(inner_cell_, static_cast<uint32_t>(d));
   BlockId outer = demux_override_ != kInvalidBlock ? demux_override_ : d;
   mem.Write32(demux_cell_, static_cast<uint32_t>(outer));
-  // The batch cell tracks the same synthesized/generic knob, so one switch
-  // flips the whole RX path (demux + dispatch loop) between the two variants.
-  // The synthesized side is the loop handle's active block (the generic loop
-  // after a refused emit); before the handle registers it is kInvalidBlock
-  // and the cell is left alone.
-  if (batch_cell_ != 0) {
-    BlockId loop = config_.synthesized_demux
-                       ? kernel_.spec().ActiveOf(rx_batch_spec_)
-                       : batch_loop_gen_;
-    if (loop != kInvalidBlock) {
-      mem.Write32(batch_cell_, static_cast<uint32_t>(loop));
+  // Both batch cells track the same synthesized/generic knob, so one switch
+  // flips the whole device (demux, RX dispatch loop, TX retire loop) between
+  // the two variants. The synthesized side is the loop handle's active block
+  // (the generic loop after a refused emit); before the handle registers it
+  // is kInvalidBlock and the cell is left alone.
+  for (const Batch* b : {&rx_batch_, &tx_batch_}) {
+    if (b->cell == 0) {
+      continue;
     }
-  }
-  // Same knob drives the TX retire loop, so generic-vs-synthesized ablation
-  // flips the whole device, not just receive.
-  if (tx_batch_cell_ != 0) {
-    BlockId loop = config_.synthesized_demux
-                       ? kernel_.spec().ActiveOf(tx_batch_spec_)
-                       : tx_batch_loop_gen_;
+    BlockId loop = config_.synthesized_demux ? kernel_.spec().ActiveOf(b->spec)
+                                             : b->loop_gen;
     if (loop != kInvalidBlock) {
-      mem.Write32(tx_batch_cell_, static_cast<uint32_t>(loop));
+      mem.Write32(b->cell, static_cast<uint32_t>(loop));
     }
   }
   kernel_.machine().Charge(8, 1, 1);
@@ -622,7 +527,7 @@ bool NicDevice::TransmitV(uint16_t dst_port, uint16_t src_port,
   if (tx_burst_open_) {
     tx_staged_.push_back(StagedTx{slot, complete_at});
   } else {
-    ArmTxComplete(slot, complete_at);
+    Arm(tx_batch_, slot, complete_at, complete_at + config_.tx_coalesce_us);
   }
   return true;
 }
@@ -648,31 +553,10 @@ void NicDevice::CommitTxBurst() {
   kernel_.machine().Charge(26 + 2 * static_cast<uint64_t>(tx_staged_.size()),
                            4, 2);
   for (const StagedTx& st : tx_staged_) {
-    ArmTxComplete(st.slot, st.complete_at);
+    Arm(tx_batch_, st.slot, st.complete_at,
+        st.complete_at + config_.tx_coalesce_us);
   }
   tx_staged_.clear();
-}
-
-void NicDevice::ArmTxComplete(uint32_t slot, double complete_at) {
-  if (!tx_batching()) {
-    kernel_.interrupts().Raise(complete_at, Vector::kNetTx,
-                               config_.irq_tag | slot);
-    return;
-  }
-  // Coalescing holds the completion open for tx_coalesce_us so later frames
-  // of the burst retire under the same dispatch; one interrupt is
-  // outstanding at a time, advanced when an earlier fire time appears.
-  PendingTx p;
-  p.at = complete_at;
-  p.fire = complete_at + config_.tx_coalesce_us;
-  p.seq = tx_pending_seq_++;
-  p.slot = slot;
-  tx_pending_.push_back(p);
-  if (!tx_batch_armed_ || p.fire < tx_batch_next_fire_) {
-    kernel_.interrupts().Raise(p.fire, Vector::kNetTx, config_.irq_tag);
-    tx_batch_armed_ = true;
-    tx_batch_next_fire_ = p.fire;
-  }
 }
 
 void NicDevice::RetireOneTxCompletion() {
@@ -779,28 +663,37 @@ void NicDevice::InjectRaw(uint32_t dst_port, uint32_t src_port,
 }
 
 void NicDevice::ScheduleRxDelivery(uint32_t rx_idx, double at) {
-  if (!batching()) {
-    kernel_.interrupts().Raise(at, Vector::kNetRx, config_.irq_tag | rx_idx);
-    return;
-  }
   // Coalescing holds a frame's interrupt open for rx_coalesce_us past its
   // wire arrival so later completions ride the same dispatch. Flows bound
   // with batch=false (latency-sensitive) fire at arrival time; any frames
   // already due then are swept into their batch for free.
-  Memory& mem = kernel_.machine().memory();
-  auto it = flows_.find(static_cast<uint16_t>(
-      mem.Read32(RxSlotAddr(rx_idx) + FrameLayout::kDstPort)));
-  const bool nobatch = it != flows_.end() && !it->second.batch;
-  PendingRx p;
-  p.at = at;
-  p.fire = nobatch ? at : at + config_.rx_coalesce_us;
-  p.seq = rx_pending_seq_++;
-  p.slot = rx_idx;
-  rx_pending_.push_back(p);
-  if (!batch_armed_ || p.fire < batch_next_fire_) {
-    kernel_.interrupts().Raise(p.fire, Vector::kNetRx, config_.irq_tag);
-    batch_armed_ = true;
-    batch_next_fire_ = p.fire;
+  double fire = at;
+  if (batching()) {
+    Memory& mem = kernel_.machine().memory();
+    auto it = flows_.find(static_cast<uint16_t>(
+        mem.Read32(RxSlotAddr(rx_idx) + FrameLayout::kDstPort)));
+    if (it == flows_.end() || it->second.batch) {
+      fire += config_.rx_coalesce_us;
+    }
+  }
+  Arm(rx_batch_, rx_idx, at, fire);
+}
+
+// Schedules the interrupt for `slot`, due at `at`, on direction `b`. Without
+// coalescing it is the slot's own interrupt at `at`. With it, the slot queues
+// for the latch and the direction's one outstanding interrupt is advanced to
+// `fire` (the due time plus the window) when that is earlier — so later
+// frames of a burst ride the same dispatch.
+void NicDevice::Arm(Batch& b, uint32_t slot, double at, double fire) {
+  if (b.cell == 0) {
+    kernel_.interrupts().Raise(at, b.vec, config_.irq_tag | slot);
+    return;
+  }
+  b.pending.push_back(Pending{at, fire, b.seq++, slot});
+  if (!b.armed || fire < b.next_fire) {
+    kernel_.interrupts().Raise(fire, b.vec, config_.irq_tag);
+    b.armed = true;
+    b.next_fire = fire;
   }
 }
 

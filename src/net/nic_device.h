@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <random>
 #include <unordered_map>
@@ -71,10 +72,11 @@ struct NicConfig {
   // overhead is paid once per batch instead of once per frame. 0 (default)
   // keeps the classic one-interrupt-per-frame entry — the ablation baseline.
   double rx_coalesce_us = 0.0;
-  // TX-complete coalescing, the transmit-side mirror: > 0 holds each frame's
-  // completion interrupt open for this window so later completions retire
-  // under the same dispatch, and enables BeginTxBurst/CommitTxBurst (one
-  // doorbell per burst of descriptor fills). 0 (default) keeps the classic
+  // TX-complete coalescing, the same engine on the transmit side: > 0 holds
+  // each frame's completion interrupt open for this window so later
+  // completions retire under the same dispatch, and enables
+  // BeginTxBurst/CommitTxBurst (one doorbell per burst of descriptor
+  // fills). 0 (default) keeps the classic
   // one-kNetTx-per-frame entry — the ablation baseline — and makes the burst
   // calls no-ops, so existing configs behave byte-identically.
   double tx_coalesce_us = 0.0;
@@ -225,11 +227,11 @@ class NicDevice {
   // Batched-delivery introspection (benches assert the amortization really
   // happened: frames per dispatch > 1 under load).
   bool batching() const { return config_.rx_coalesce_us > 0.0; }
-  uint64_t rx_batch_dispatches() const { return rx_batch_dispatches_; }
-  uint64_t rx_batch_frames() const { return rx_batch_frames_; }
+  uint64_t rx_batch_dispatches() const { return rx_batch_.dispatches; }
+  uint64_t rx_batch_frames() const { return rx_batch_.frames; }
   bool tx_batching() const { return config_.tx_coalesce_us > 0.0; }
-  uint64_t tx_batch_dispatches() const { return tx_batch_dispatches_; }
-  uint64_t tx_batch_frames() const { return tx_batch_frames_; }
+  uint64_t tx_batch_dispatches() const { return tx_batch_.dispatches; }
+  uint64_t tx_batch_frames() const { return tx_batch_.frames; }
 
  private:
   struct WireItem {
@@ -240,26 +242,41 @@ class NicDevice {
     int32_t corrupt_off = -1;  // byte offset within the frame to flip, or -1
   };
 
-  // A frame landed in RX slot `slot`, due for delivery at virtual time `at`
-  // (wire latency + any reorder hold already applied). Per-frame mode raises
-  // its interrupt directly; batch mode queues the slot and arms/advances the
-  // single outstanding batch interrupt.
-  struct PendingRx {
-    double at = 0;    // arrival time (delivery order key)
+  // A frame in slot `slot`, due at virtual time `at`: an RX frame's wire
+  // arrival (latency + any reorder hold already applied) or a TX frame's
+  // DMA-out completion. Per-frame mode raises its interrupt directly;
+  // coalescing queues it and arms/advances the direction's single
+  // outstanding batch interrupt.
+  struct Pending {
+    double at = 0;    // due time (latch order key)
     double fire = 0;  // when this frame alone would fire the batch interrupt
     uint64_t seq = 0;
     uint32_t slot = 0;
   };
 
-  // A transmitted frame whose DMA-out completes at `at`; the TX mirror of
-  // PendingRx. Per-frame mode raises its completion interrupt directly;
-  // coalescing mode queues it and arms/advances the single outstanding
-  // kNetTx interrupt.
-  struct PendingTx {
-    double at = 0;    // DMA-out completion time (retire order key)
-    double fire = 0;  // when this frame alone would fire the batch interrupt
+  // One direction's interrupt coalescing; RX and TX each hold one, and its
+  // simulated-memory words are allocated only when that direction's window
+  // is > 0: the due table [count][slot...] the latch trap fills, a
+  // descriptor {due table, ring base} (RX adds its demux cell) the generic
+  // loop reloads per frame, the cell holding the active loop implementation,
+  // and a spill word for the generic loop's counter (the demux clobbers
+  // registers).
+  struct Batch {
+    Batch(Vector v, uint32_t ring_slots) : vec(v), slots(ring_slots) {}
+    Vector vec;
+    uint32_t slots;  // ring size: the most frames one latch takes
+    Addr due = 0;
+    Addr desc = 0;
+    Addr cell = 0;
+    Addr idx = 0;
+    BlockId loop_gen = kInvalidBlock;
+    SpecId spec = kBadSpec;
+    std::vector<Pending> pending;
     uint64_t seq = 0;
-    uint32_t slot = 0;
+    bool armed = false;    // one batch interrupt is outstanding
+    double next_fire = 0;  // its fire time
+    uint64_t dispatches = 0;
+    uint64_t frames = 0;
   };
 
   // A burst-staged frame: descriptor filled, doorbell and completion arming
@@ -272,12 +289,16 @@ class NicDevice {
   Addr RxSlotAddr(uint32_t index) const;
   Addr TxSlotAddr(uint32_t index) const;
   void RefreshDemuxCell();
+  // The coalescing engine both directions share (see Batch).
+  void AllocateBatch(Batch& b, std::initializer_list<Addr> desc_tail);
+  int RegisterLatch(Batch& b);
+  BlockId InstallBatchPath(Batch& b, bool rx, int done_vec, int fill_vec);
+  void Arm(Batch& b, uint32_t slot, double at, double fire);
   // Emit callbacks for the batch-loop specialization handles (the vectors are
   // captured at construction; the loops fold device-lifetime invariants).
   BlockId BuildRxBatchLoop(int rxdone_vec);
   BlockId BuildTxBatchLoop(int txdone_vec);
   void ScheduleRxDelivery(uint32_t rx_idx, double at);
-  void ArmTxComplete(uint32_t slot, double complete_at);
   void RetireOneTxCompletion();
 
   Kernel& kernel_;
@@ -297,44 +318,12 @@ class NicDevice {
   uint32_t tx_inflight_ = 0;
   uint32_t rx_inflight_ = 0;
 
-  // Batched-delivery state (allocated only when rx_coalesce_us > 0):
-  // the due table [count][slot...] the batchfill trap latches pending frames
-  // into, a 3-word descriptor {due table, rx base, demux cell} the generic
-  // loop reloads per frame, the cell holding the active loop implementation,
-  // and a spill word for the loop counter (the demux clobbers registers).
-  Addr due_base_ = 0;
-  Addr batch_desc_ = 0;
-  Addr batch_cell_ = 0;
-  Addr batch_idx_ = 0;
-  BlockId batch_loop_gen_ = kInvalidBlock;
-  SpecId rx_batch_spec_ = kBadSpec;
-  std::vector<PendingRx> rx_pending_;
-  uint64_t rx_pending_seq_ = 0;
-  bool batch_armed_ = false;      // one batch interrupt is outstanding
-  double batch_next_fire_ = 0;    // its fire time
-  uint64_t rx_batch_dispatches_ = 0;
-  uint64_t rx_batch_frames_ = 0;
-
-  // Coalesced-TX state (allocated only when tx_coalesce_us > 0): the due
-  // table the txfill trap latches completed slots into, a 2-word descriptor
-  // {due table, tx base} the generic retire loop reloads per frame, the cell
-  // holding the active retire-loop implementation, and a spill word for the
-  // generic loop's counter. Retire correctness never depends on the due
-  // table contents: each retire trap pops the wire queue, whose FIFO order
-  // matches completion order (completion times are monotone in transmit
-  // order), and the popped item carries its own tx_slot.
-  Addr tx_due_base_ = 0;
-  Addr tx_batch_desc_ = 0;
-  Addr tx_batch_cell_ = 0;
-  Addr tx_batch_idx_ = 0;
-  BlockId tx_batch_loop_gen_ = kInvalidBlock;
-  SpecId tx_batch_spec_ = kBadSpec;
-  std::vector<PendingTx> tx_pending_;
-  uint64_t tx_pending_seq_ = 0;
-  bool tx_batch_armed_ = false;    // one TX batch interrupt is outstanding
-  double tx_batch_next_fire_ = 0;  // its fire time
-  uint64_t tx_batch_dispatches_ = 0;
-  uint64_t tx_batch_frames_ = 0;
+  Batch rx_batch_;
+  // Retire correctness never depends on the TX due table's contents: each
+  // retire trap pops the wire queue, whose FIFO order matches completion
+  // order (completion times are monotone in transmit order), and the popped
+  // item carries its own tx_slot.
+  Batch tx_batch_;
   bool tx_burst_open_ = false;
   std::vector<StagedTx> tx_staged_;
 

@@ -17,6 +17,10 @@ namespace {
 // the device-local descriptor slot the per-NIC entry code expects.
 constexpr uint32_t kTagShift = 16;
 constexpr int32_t kSlotMask = 0xFFFF;
+// The vectors the pool dispatches, indexed like dispatch_cell_/_spec_, and
+// the name each one's shim and chain carry.
+constexpr Vector kVectors[2] = {Vector::kNetRx, Vector::kNetTx};
+constexpr const char* kVectorNames[2] = {"pool_rx", "pool_tx"};
 }  // namespace
 
 NicPool::NicPool(Kernel& kernel, NicPoolConfig config)
@@ -43,11 +47,12 @@ NicPool::NicPool(Kernel& kernel, NicPoolConfig config)
     std::abort();
   }
   desc_ = kernel_.allocator().Allocate(kDescBytes);
-  rx_dispatch_cell_ = kernel_.allocator().Allocate(4);
-  tx_dispatch_cell_ = kernel_.allocator().Allocate(4);
+  for (Addr& cell : dispatch_cell_) {
+    cell = kernel_.allocator().Allocate(4);
+  }
   steer_cell_ = kernel_.allocator().Allocate(4);
   shed_ctr_ = kernel_.allocator().Allocate(4);
-  assert(desc_ != 0 && rx_dispatch_cell_ != 0 && tx_dispatch_cell_ != 0 &&
+  assert(desc_ != 0 && dispatch_cell_[0] != 0 && dispatch_cell_[1] != 0 &&
          steer_cell_ != 0 && shed_ctr_ != 0 &&
          "kernel memory exhausted bringing up the NIC pool");
   Memory& mem = kernel_.machine().memory();
@@ -105,18 +110,15 @@ NicPool::NicPool(Kernel& kernel, NicPoolConfig config)
   // One shim per vector, installed once: TTEs snapshot their vectors at
   // thread-creation time, so the re-emittable dispatch chain must sit behind
   // a cell the shim jumps through, not in the vector itself.
-  Asm rs("pool_rx_shim");
-  rs.LoadA32(kD7, static_cast<int32_t>(rx_dispatch_cell_));
-  rs.JmpInd(kD7);
-  BlockId rx_shim = kernel_.SynthesizeInstallEssential(
-      rs.Build(), Bindings(), nullptr, "pool_rx_shim", nullptr, &verbatim);
-  kernel_.SetDefaultVector(Vector::kNetRx, rx_shim);
-  Asm ts("pool_tx_shim");
-  ts.LoadA32(kD7, static_cast<int32_t>(tx_dispatch_cell_));
-  ts.JmpInd(kD7);
-  BlockId tx_shim = kernel_.SynthesizeInstallEssential(
-      ts.Build(), Bindings(), nullptr, "pool_tx_shim", nullptr, &verbatim);
-  kernel_.SetDefaultVector(Vector::kNetTx, tx_shim);
+  for (int d = 0; d < 2; d++) {
+    const std::string name = std::string(kVectorNames[d]) + "_shim";
+    Asm s(name);
+    s.LoadA32(kD7, static_cast<int32_t>(dispatch_cell_[d]));
+    s.JmpInd(kD7);
+    kernel_.SetDefaultVector(
+        kVectors[d], kernel_.SynthesizeInstallEssential(
+                         s.Build(), Bindings(), nullptr, name, nullptr, &verbatim));
+  }
 
   RegisterHandles();
 }
@@ -125,8 +127,9 @@ NicPool::~NicPool() {
   // The emit/install callbacks capture `this`; the handles must not outlive
   // the pool.
   kernel_.spec().Retire(steer_spec_);
-  kernel_.spec().Retire(rx_dispatch_spec_);
-  kernel_.spec().Retire(tx_dispatch_spec_);
+  for (SpecId id : dispatch_spec_) {
+    kernel_.spec().Retire(id);
+  }
   kernel_.spec().Retire(shed_spec_);
 }
 
@@ -179,15 +182,14 @@ void NicPool::RegisterHandles() {
   // injected refusal. A live-block cap can still refuse a re-emit: that
   // keeps the previous chain — stale (it misses the newest NIC) but safe;
   // the adaptation sweep retries while the handle stays degraded.
-  for (bool rx : {true, false}) {
+  for (int d = 0; d < 2; d++) {
     SpecDesc dd;
-    dd.name = rx ? "pool_rx_dispatch" : "pool_tx_dispatch";
+    dd.name = std::string(kVectorNames[d]) + "_dispatch";
     dd.adaptive = false;
     dd.evictable = false;
-    dd.emit = [this, rx](SpecTier) { return BuildDispatch(rx); };
+    dd.emit = [this, d](SpecTier) { return BuildDispatch(d); };
     dd.install = [this](BlockId, SpecTier, SpecInstall) { WireDispatch(); };
-    (rx ? rx_dispatch_spec_ : tx_dispatch_spec_) =
-        kernel_.spec().Register(std::move(dd));
+    dispatch_spec_[d] = kernel_.spec().Register(std::move(dd));
   }
   WireDispatch();
 
@@ -243,9 +245,9 @@ BlockId NicPool::BuildSteering() {
                                    nullptr, &opts);
 }
 
-BlockId NicPool::BuildDispatch(bool rx) {
+BlockId NicPool::BuildDispatch(int d) {
   SynthesisOptions verbatim = SynthesisOptions::Disabled();
-  const std::string name = (rx ? "pool_rx_dispatch#" : "pool_tx_dispatch#") +
+  const std::string name = std::string(kVectorNames[d]) + "_dispatch#" +
                            std::to_string(++dispatch_gen_);
   // d1 = tagged payload. High half selects the NIC, low half is the slot the
   // per-NIC entry expects in d1.
@@ -257,8 +259,8 @@ BlockId NicPool::BuildDispatch(bool rx) {
     const std::string next = "n" + std::to_string(i);
     a.CmpI(kD6, static_cast<int32_t>(i));
     a.Bne(next);
-    a.Jsr(static_cast<int32_t>(rx ? nics_[i]->rx_entry()
-                                  : nics_[i]->tx_entry()));
+    a.Jsr(static_cast<int32_t>(d == 0 ? nics_[i]->rx_entry()
+                                      : nics_[i]->tx_entry()));
     a.Rts();
     a.Label(next);
   }
@@ -271,13 +273,11 @@ void NicPool::WireDispatch() {
   // Before a chain first installs (a live-block cap refused it), its cell
   // keeps whatever it held.
   Memory& mem = kernel_.machine().memory();
-  const BlockId rx = kernel_.spec().ActiveOf(rx_dispatch_spec_);
-  const BlockId tx = kernel_.spec().ActiveOf(tx_dispatch_spec_);
-  if (rx != kInvalidBlock) {
-    mem.Write32(rx_dispatch_cell_, static_cast<uint32_t>(rx));
-  }
-  if (tx != kInvalidBlock) {
-    mem.Write32(tx_dispatch_cell_, static_cast<uint32_t>(tx));
+  for (int d = 0; d < 2; d++) {
+    const BlockId chain = kernel_.spec().ActiveOf(dispatch_spec_[d]);
+    if (chain != kInvalidBlock) {
+      mem.Write32(dispatch_cell_[d], static_cast<uint32_t>(chain));
+    }
   }
 }
 
@@ -477,8 +477,9 @@ bool NicPool::AddNic() {
   }
   WriteDescriptor();
   kernel_.spec().Reemit(steer_spec_);
-  kernel_.spec().Reemit(rx_dispatch_spec_);
-  kernel_.spec().Reemit(tx_dispatch_spec_);
+  for (SpecId id : dispatch_spec_) {
+    kernel_.spec().Reemit(id);
+  }
   ApplySteering();
   return true;
 }

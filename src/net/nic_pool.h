@@ -220,8 +220,9 @@ class NicPool {
   // handle's install callback is its wiring function below.
   void RegisterHandles();
   BlockId BuildSteering();
-  // The payload-untag compare chain behind the kNetRx (rx) or kNetTx shim.
-  BlockId BuildDispatch(bool rx);
+  // The payload-untag compare chain behind the shim of dispatched vector `d`
+  // (0: kNetRx, 1: kNetTx).
+  BlockId BuildDispatch(int d);
   BlockId BuildShedFilter();
   // Wiring functions: repoint the pool's cells at what the Specializer holds
   // active.
@@ -240,10 +241,10 @@ class NicPool {
   SpecId steer_spec_ = kBadSpec;
   uint32_t steer_gen_ = 0;
 
-  Addr rx_dispatch_cell_ = 0;
-  Addr tx_dispatch_cell_ = 0;
-  SpecId rx_dispatch_spec_ = kBadSpec;
-  SpecId tx_dispatch_spec_ = kBadSpec;
+  // Per dispatched vector (kNetRx, kNetTx): the cell its shim jumps through
+  // and the handle of the compare chain the cell holds.
+  Addr dispatch_cell_[2] = {0, 0};
+  SpecId dispatch_spec_[2] = {kBadSpec, kBadSpec};
   uint32_t dispatch_gen_ = 0;  // uniquifies chain names across re-emission
 
   // Overload armor state. steer_cell_ always holds the active steering id, so

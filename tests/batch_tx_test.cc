@@ -330,6 +330,127 @@ TEST(BatchTxTest, CoalescedIrqBurstEchoRetiresNothingTwice) {
   EXPECT_EQ(nic.tx_spurious_gauge().events(), 0u);
 }
 
+// Everything observable on the owning NIC after a run with TX coalescing on
+// and RX coalescing optionally on, each direction's batch counts apart.
+struct DuplexOutcome {
+  std::vector<uint8_t> ring_bytes;
+  uint64_t delivered = 0;
+  uint64_t wire_drops = 0;
+  uint64_t tx_completed = 0;
+  uint64_t tx_spurious = 0;
+  uint64_t rx_dispatches = 0;
+  uint64_t rx_frames = 0;
+  uint64_t tx_dispatches = 0;
+  uint64_t tx_frames = 0;
+  uint32_t rx_inflight = 0;
+  uint32_t tx_inflight = 0;
+  uint64_t idle_dispatches = 0;  // both directions, on the pool's other NIC
+};
+
+// RunTxScenario's bursts of four on a 2-NIC pool, with the RX window set to
+// `rx_coalesce_us` beside a 40 us TX window and every interrupt optionally
+// double-fired. Port 7 steers to one NIC; the other must stay untouched.
+DuplexOutcome RunDuplexScenario(double rx_coalesce_us, TxFaults f, int frames,
+                                bool irq_burst) {
+  Kernel k;
+  IoSystem io(k, nullptr);
+  NicPoolConfig pc;
+  pc.initial_nics = 2;
+  pc.nic.rx_coalesce_us = rx_coalesce_us;
+  pc.nic.tx_coalesce_us = 40.0;
+  pc.nic.drop_rate = f.drop;
+  pc.nic.corrupt_rate = f.corrupt;
+  pc.nic.reorder_rate = f.reorder;
+  pc.nic.duplicate_rate = f.duplicate;
+  pc.nic.fault_seed = 77;
+  NicPool pool(k, pc);
+  NicDevice& nic = pool.nic(pool.SteerOf(7));
+  NicDevice& idle = pool.nic(1 - pool.SteerOf(7));
+  if (irq_burst) {
+    FaultTrigger t;
+    t.probability = 1.0;
+    k.faults().Arm(FaultSite::kIrqBurst, t);
+  }
+
+  auto ring = io.MakeRing(16384);
+  EXPECT_TRUE(pool.BindFlow(FlowSpec::Ring(7, ring)));
+  for (int i = 0; i < frames; i++) {
+    if (i % 4 == 0) {
+      pool.BeginTxBurst(7);
+    }
+    uint32_t n = 1 + (i * 7) % 48;
+    std::string payload(n, static_cast<char>('a' + i % 26));
+    const uint8_t* p = reinterpret_cast<const uint8_t*>(payload.data());
+    SendSpan spans[2] = {{p, n / 2}, {p + n / 2, n - n / 2}};
+    EXPECT_TRUE(pool.TransmitV(7, 100 + i % 5, spans, 2)) << "frame " << i;
+    if (i % 4 == 3 || i == frames - 1) {
+      pool.CommitTxBurst(7);
+      k.Run();
+    }
+  }
+  k.Run();
+
+  DuplexOutcome o;
+  uint8_t b = 0;
+  while (io.RingGetByte(*ring, &b)) {
+    o.ring_bytes.push_back(b);
+  }
+  o.delivered = nic.demux().delivered_total();
+  o.wire_drops = nic.wire_drop_gauge().events();
+  o.tx_completed = nic.tx_completed();
+  o.tx_spurious = nic.tx_spurious_gauge().events();
+  o.rx_dispatches = nic.rx_batch_dispatches();
+  o.rx_frames = nic.rx_batch_frames();
+  o.tx_dispatches = nic.tx_batch_dispatches();
+  o.tx_frames = nic.tx_batch_frames();
+  o.rx_inflight = nic.rx_inflight();
+  o.tx_inflight = nic.tx_inflight();
+  o.idle_dispatches = idle.rx_batch_dispatches() + idle.tx_batch_dispatches();
+  return o;
+}
+
+TEST(BatchTxTest, BothDirectionsCoalescedDeliverWhatTxOnlyDelivers) {
+  // One NIC runs both coalescing engines on a lossy, reordering wire. RX
+  // batching changes only how arrivals are dispatched, so the ring holds
+  // exactly what TX-only coalescing delivers; the counts below pin each
+  // direction's engine on its own, so state shared across directions fails.
+  const TxFaults kWire = {0.1, 0, 0.1, 0};
+  DuplexOutcome tx_only = RunDuplexScenario(0.0, kWire, 64, false);
+  DuplexOutcome both = RunDuplexScenario(40.0, kWire, 64, false);
+  EXPECT_EQ(both.ring_bytes, tx_only.ring_bytes);
+  EXPECT_EQ(both.ring_bytes.size(), 1535u);
+  EXPECT_EQ(both.delivered, 56u);
+  EXPECT_EQ(both.tx_completed, 64u);
+  EXPECT_EQ(both.wire_drops, 8u);
+  EXPECT_EQ(both.tx_spurious, 0u);
+  EXPECT_EQ(both.rx_dispatches, 17u);
+  EXPECT_EQ(both.rx_frames, 56u) << "every delivered frame latched once";
+  EXPECT_EQ(both.tx_dispatches, 16u) << "one retire dispatch per burst";
+  EXPECT_EQ(both.tx_frames, 64u) << "every completion latched once";
+  EXPECT_EQ(both.rx_inflight, 0u);
+  EXPECT_EQ(both.tx_inflight, 0u);
+  EXPECT_EQ(both.idle_dispatches, 0u);
+  EXPECT_EQ(tx_only.rx_dispatches, 0u) << "RX coalescing was off";
+  EXPECT_EQ(tx_only.tx_dispatches, both.tx_dispatches);
+}
+
+TEST(BatchTxTest, BothDirectionsAbsorbAnIrqBurstEachOnItsOwn) {
+  // Every interrupt double-fires. Each direction's echo latches nothing, so
+  // each burst costs two dispatches per direction and no frame is delivered
+  // or retired twice.
+  DuplexOutcome o = RunDuplexScenario(40.0, TxFaults{}, 16, true);
+  EXPECT_EQ(o.delivered, 16u);
+  EXPECT_EQ(o.tx_completed, 16u);
+  EXPECT_EQ(o.tx_spurious, 0u);
+  EXPECT_EQ(o.rx_dispatches, 8u);
+  EXPECT_EQ(o.rx_frames, 16u);
+  EXPECT_EQ(o.tx_dispatches, 8u);
+  EXPECT_EQ(o.tx_frames, 16u);
+  EXPECT_EQ(o.rx_inflight, 0u);
+  EXPECT_EQ(o.tx_inflight, 0u);
+  EXPECT_EQ(o.idle_dispatches, 0u);
+}
+
 // Host-side drain of everything queued on a stream connection.
 std::string DrainConn(Kernel& k, StreamLayer& st, ConnId c) {
   std::string out;

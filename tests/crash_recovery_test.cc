@@ -210,6 +210,27 @@ TEST(CrashRecoveryTest, FsyncedBytesSurviveScriptedCrashSweep) {
   EXPECT_GE(crashes, 32) << "the sweep must actually reach its crash points";
 }
 
+// The journal's payload is the cache block, whatever its size: with 1 KB
+// blocks every journaled block must be logged and replayed whole, to its
+// own home sectors.
+TEST(CrashRecoveryTest, KilobyteCacheBlocksReplayWhole) {
+  int crashes = 0;
+  for (uint64_t visit = 1; visit <= 24; ++visit) {
+    SCOPED_TRACE(testing::Message() << "power-fail visit " << visit);
+    CrashStackConfig cfg = SmallCfg();
+    cfg.bcache.block_bytes = 1024;
+    CrashRunner r(cfg);
+    ASSERT_EQ(r.harness().stack().journal.payload_bytes(), 1024u);
+    FaultTrigger t;
+    t.schedule = {visit};
+    r.harness().stack().kernel.faults().Arm(FaultSite::kPowerFail, t);
+    const bool crashed = r.Run(/*seed=*/uint32_t(visit), /*ops=*/60);
+    crashes += crashed ? 1 : 0;
+    r.VerifyAfterReboot();
+  }
+  EXPECT_GE(crashes, 16) << "the sweep must actually reach its crash points";
+}
+
 // Probability-driven crashes across seeds: the same invariants must hold
 // when the fail point is drawn from the per-site stream instead of scripted.
 TEST(CrashRecoveryTest, FsyncedBytesSurviveRandomCrashes) {
@@ -433,7 +454,7 @@ TEST(CrashConfigDeathTest, BadJournalGeometryAbortsLoudly) {
         DiskScheduler sched(disk);
         JournalConfig cfg;
         cfg.sectors = 48;  // not a power of two
-        Journal j(k, disk, sched, FileSystem::kJournalStart, cfg);
+        Journal j(k, disk, sched, FileSystem::kJournalStart, 512, cfg);
       },
       "power of two");
   EXPECT_DEATH(
@@ -443,7 +464,7 @@ TEST(CrashConfigDeathTest, BadJournalGeometryAbortsLoudly) {
         DiskScheduler sched(disk);
         JournalConfig cfg;
         cfg.sectors = 16;  // below the four-minimal-batches floor
-        Journal j(k, disk, sched, FileSystem::kJournalStart, cfg);
+        Journal j(k, disk, sched, FileSystem::kJournalStart, 512, cfg);
       },
       "power of two");
   EXPECT_DEATH(
@@ -451,9 +472,8 @@ TEST(CrashConfigDeathTest, BadJournalGeometryAbortsLoudly) {
         Kernel k;
         DiskDevice disk(k);
         DiskScheduler sched(disk);
-        JournalConfig cfg;
-        cfg.payload_bytes = 300;  // not a multiple of the sector
-        Journal j(k, disk, sched, FileSystem::kJournalStart, cfg);
+        // A payload (the cache's block size) not a multiple of the sector.
+        Journal j(k, disk, sched, FileSystem::kJournalStart, 300);
       },
       "payload_bytes");
 }
